@@ -83,8 +83,8 @@ impl BatchRecompute {
             affected_pairs: n * n,
             aff_avg: (n * n) as f64,
             pruned_fraction: 0.0,
-            // batch_simrank double-buffers: one n² scratch matrix beyond
-            // the output.
+            // batch_simrank's fused sweep swaps two n² buffers: the output
+            // and one scratch matrix holding the previous iterate.
             peak_intermediate_bytes: n * n * std::mem::size_of::<f64>(),
             gamma_density: 1.0,
             applied_mode: incsim_core::ApplyMode::Eager,

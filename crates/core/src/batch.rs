@@ -5,26 +5,53 @@
 //! yields the truncated series `S_K = (1−C)·Σ_{k=0}^{K} Cᵏ·Qᵏ·(Qᵀ)ᵏ`
 //! (Eq. 34) — the weighted count of symmetric in-link paths.
 //!
-//! Complexity per iteration is `O(nnz(Q)·n) = O(d·n²)`, the same class as
-//! Lizorkin's partial-sums method and Yu et al.'s fine-grained memoisation
-//! \[6\] (the paper's `Batch`). Two memoisation levers are implemented:
+//! ## The fused sweep
 //!
-//! * rows of `Q·X` are computed once per *distinct in-neighbour set* —
-//!   nodes sharing their in-neighbourhood (common in real graphs: papers
-//!   citing the same references, videos with the same related list) share
-//!   one partial sum, the essence of fine-grained memoisation;
-//! * row-level parallelism over `std::thread::scope`.
+//! One iteration is one pass over the rows of `S_{t+1}`. Row `i` first
+//! accumulates `w = (Q·S_t)[i,:] = Σ_{k∈I(i)} q_ik·S_t[k,:]` in its
+//! worker's row buffer, then gathers each entry straight from it:
+//! `S_{t+1}[i,j] = C·Σ_{l∈I(j)} q_jl·w[l] + (1−C)·δ_ij`. The product
+//! `Q·S_t` is never materialised, so no `n²` intermediate is written, read
+//! back or transposed.
+//!
+//! * **Symmetric half-sweep.** Every iterate is symmetric, so row `i`
+//!   gathers only the entries `j ≥ i`, and a cache-blocked mirror copies
+//!   the upper triangle into the lower one. The scores are therefore
+//!   exactly symmetric.
+//! * **Two buffers.** `S_t` and `S_{t+1}` are allocated once and swapped
+//!   after every iteration. Peak working memory is two `n²` matrices plus
+//!   one length-`n` row buffer per worker, none of which an iteration
+//!   allocates.
+//! * **Shared partial sums.** Nodes with identical in-neighbour sets have
+//!   identical rows of `Q`, hence identical rows of `Q·S_t·Qᵀ`. Such a row
+//!   is computed once, for the set's first node, and copied for the
+//!   others — the essence of Yu et al.'s fine-grained memoisation \[6\]
+//!   (papers citing the same references, videos with the same related
+//!   list).
+//! * **Deterministic parallelism.** Rows are split into contiguous ranges
+//!   of about equal cost, one per worker of a `std::thread::scope`; the
+//!   cost model weighs the shrinking triangle, so later ranges hold more
+//!   rows. Every entry is computed by one worker in a fixed order, so the
+//!   scores are bit-identical for any thread count.
+//!
+//! Complexity per iteration is `O(nnz(Q)·n) = O(d·n²)`: `nnz(Q)·n`
+//! multiply-adds for the row buffers and about half that for the gathers,
+//! the same class as Lizorkin's partial-sums method and the paper's
+//! `Batch` \[6\]. The sweep is bound by the memory traffic of streaming
+//! rows of `S_t`, not by arithmetic: it gains by moving fewer bytes, not
+//! by adding threads.
 
 use crate::fxhash::FxHashMap;
 use crate::SimRankConfig;
 use incsim_graph::transition::backward_transition;
 use incsim_graph::DiGraph;
-use incsim_linalg::{CsrMatrix, DenseMatrix};
+use incsim_linalg::{vecops, CsrMatrix, DenseMatrix};
 
 /// Tuning knobs for [`batch_simrank_detailed`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOptions {
-    /// Worker threads for the sparse–dense kernels (`0` = use all cores).
+    /// Worker threads for the fused sweep (`0` = use all cores). The
+    /// scores do not depend on it.
     pub threads: usize,
     /// Stop early once `‖S_{t+1} − S_t‖_max <= early_stop_tol` (`0.0`
     /// disables early stopping and always runs `K` iterations, matching the
@@ -124,15 +151,27 @@ pub fn batch_simrank_detailed(
     for i in 0..n {
         s.set(i, i, one_minus_c);
     }
+    let mut next = DenseMatrix::zeros(n, n);
+    let sweep = Sweep {
+        q: &q,
+        row_rep: &row_rep,
+        c: cfg.c,
+        one_minus_c,
+    };
+    let bounds = sweep.row_bounds(threads);
+    let mut row_bufs = vec![vec![0.0; n]; bounds.len() - 1];
 
+    let early_stop = opts.early_stop_tol > 0.0;
     let mut iterations = 0;
     let mut final_delta = 0.0;
-    for _ in 0..cfg.iterations {
-        let next = batch_step(&q, &s, cfg.c, one_minus_c, &row_rep, threads);
-        final_delta = next.max_abs_diff(&s);
-        s = next;
+    while iterations < cfg.iterations {
+        sweep.run(&s, &mut next, &bounds, &mut row_bufs);
         iterations += 1;
-        if opts.early_stop_tol > 0.0 && final_delta <= opts.early_stop_tol {
+        if early_stop || iterations == cfg.iterations {
+            final_delta = next.max_abs_diff(&s);
+        }
+        std::mem::swap(&mut s, &mut next);
+        if early_stop && final_delta <= opts.early_stop_tol {
             break;
         }
     }
@@ -145,89 +184,148 @@ pub fn batch_simrank_detailed(
     }
 }
 
-/// One iteration `S' = C·Q·S·Qᵀ + (1−C)·I`.
-///
-/// Computed as `T = (Q·S)ᵀ` then `S' = C·(Q·T) + (1−C)·I`, so both products
-/// stream CSR rows against dense rows. Rows with a shared representative
-/// are copied instead of recomputed.
-fn batch_step(
-    q: &CsrMatrix,
-    s: &DenseMatrix,
+/// Below this many nodes the sweep runs on the calling thread: spawning
+/// workers would cost more than the rows they take.
+const PARALLEL_MIN_ROWS: usize = 128;
+
+/// Side of the square tiles the mirror copies: a source and a destination
+/// tile (2 × 8 KiB) stay in L1 while the tile is transposed.
+const MIRROR_TILE: usize = 32;
+
+/// The read-only inputs of one iteration `S_{t+1} = C·Q·S_t·Qᵀ + (1−C)·I`.
+struct Sweep<'a> {
+    q: &'a CsrMatrix,
+    /// `row_rep[i]`: the first node whose in-neighbour set equals node
+    /// `i`'s (`i` itself when it is the first), so `row_rep[i] <= i`.
+    row_rep: &'a [u32],
     c: f64,
     one_minus_c: f64,
-    row_rep: &[u32],
-    threads: usize,
-) -> DenseMatrix {
-    let n = s.rows();
-    let t = mul_dense_shared(q, s, row_rep, threads).transpose();
-    let mut next = mul_dense_shared(q, &t, row_rep, threads);
-    next.scale(c);
-    for i in 0..n {
-        next.add_to(i, i, one_minus_c);
-    }
-    next
 }
 
-/// `C = Q·B` with partial-sum sharing: row `i` is computed only when
-/// `row_rep[i] == i`, otherwise copied from its representative.
-fn mul_dense_shared(
-    q: &CsrMatrix,
-    b: &DenseMatrix,
-    row_rep: &[u32],
-    threads: usize,
-) -> DenseMatrix {
-    let n = q.rows();
-    let cols = b.cols();
-    let mut c = DenseMatrix::zeros(n, cols);
-    let compute_row = |i: usize, out: &mut [f64]| {
-        for (j, v) in q.row(i) {
-            incsim_linalg::vecops::axpy(v, b.row(j as usize), out);
-        }
-    };
-    if threads <= 1 || n < 128 {
-        for i in 0..n {
-            let rep = row_rep[i] as usize;
-            if rep == i {
-                let row_range = i * cols..(i + 1) * cols;
-                compute_row(i, &mut c.as_mut_slice()[row_range]);
+impl Sweep<'_> {
+    /// Splits the rows into at most `threads` contiguous ranges of about
+    /// equal cost, returned as their bounds `0 = b₀ < b₁ < … < n`. Row `i`
+    /// costs its row buffer (`|I(i)|·n`), its gathers over the triangle
+    /// (`Σ_{j≥i} |I(j)|`) and its `n − i` writes; a shared row costs
+    /// nothing here, as it is copied after the sweep.
+    fn row_bounds(&self, threads: usize) -> Vec<usize> {
+        let n = self.row_rep.len();
+        let mut bounds = vec![0];
+        if threads > 1 && n >= PARALLEL_MIN_ROWS {
+            let mut costs = vec![0u64; n];
+            let mut gathers = 0u64;
+            for i in (0..n).rev() {
+                let nnz = self.q.row_nnz(i);
+                gathers += nnz as u64;
+                if self.row_rep[i] as usize == i {
+                    costs[i] = (nnz * n + (n - i)) as u64 + gathers;
+                }
+            }
+            let total: u64 = costs.iter().sum();
+            let mut done = 0u64;
+            for (i, cost) in costs.iter().enumerate() {
+                done += cost;
+                if bounds.len() < threads && done * threads as u64 >= bounds.len() as u64 * total {
+                    bounds.push(i + 1);
+                }
             }
         }
-    } else {
-        let chunk_rows = n.div_ceil(threads);
+        if bounds.last() != Some(&n) {
+            bounds.push(n);
+        }
+        bounds
+    }
+
+    /// One iteration: `next ← C·Q·s·Qᵀ + (1−C)·I`. Each row range goes to
+    /// one worker with its own row buffer, the last to the calling thread;
+    /// the shared-row copies and the mirror follow on the calling thread.
+    fn run(
+        &self,
+        s: &DenseMatrix,
+        next: &mut DenseMatrix,
+        bounds: &[usize],
+        row_bufs: &mut [Vec<f64>],
+    ) {
+        let n = s.rows();
         std::thread::scope(|scope| {
-            for (start_row, chunk) in c.par_row_chunks_mut(chunk_rows) {
-                let nrows = chunk.len() / cols;
-                scope.spawn(move || {
-                    for local in 0..nrows {
-                        let i = start_row + local;
-                        if row_rep[i] as usize == i {
-                            let out = &mut chunk[local * cols..(local + 1) * cols];
-                            for (j, v) in q.row(i) {
-                                incsim_linalg::vecops::axpy(v, b.row(j as usize), out);
-                            }
-                        }
-                    }
-                });
+            let mut rest = next.as_mut_slice();
+            for (rows, w) in bounds.windows(2).zip(row_bufs.iter_mut()) {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut((rows[1] - rows[0]) * n);
+                rest = tail;
+                if rest.is_empty() {
+                    self.upper_rows(s, rows[0], chunk, w);
+                } else {
+                    scope.spawn(move || self.upper_rows(s, rows[0], chunk, w));
+                }
             }
         });
+        self.copy_shared_rows(next);
+        mirror_upper(next);
     }
-    // Copy shared rows from their representatives (cheap O(n) pass).
-    for i in 0..n {
-        let rep = row_rep[i] as usize;
-        if rep != i {
-            let (lo, hi) = if rep < i { (rep, i) } else { (i, rep) };
-            let (_head, tail) = c.as_mut_slice().split_at_mut(lo * cols);
-            let (rep_chunk, rest) = tail.split_at_mut(cols);
-            let other_off = (hi - lo - 1) * cols;
-            let other = &mut rest[other_off..other_off + cols];
-            if rep < i {
-                other.copy_from_slice(rep_chunk);
-            } else {
-                rep_chunk.copy_from_slice(other);
+
+    /// Writes the upper-triangle entries `j ≥ i` of rows `first..` of
+    /// `S_{t+1}` into `out` (whole rows, row-major), skipping shared rows.
+    fn upper_rows(&self, s: &DenseMatrix, first: usize, out: &mut [f64], w: &mut [f64]) {
+        let n = s.cols();
+        for (i, row) in (first..).zip(out.chunks_exact_mut(n)) {
+            if self.row_rep[i] as usize != i {
+                continue;
+            }
+            let upper = &mut row[i..];
+            // w = (Q·S_t)[i,:], the first term assigned so that the
+            // buffer needs no clearing.
+            let mut terms = self.q.row(i);
+            let Some((k, v)) = terms.next() else {
+                upper.fill(0.0);
+                upper[0] = self.one_minus_c;
+                continue;
+            };
+            for (wl, &x) in w.iter_mut().zip(s.row(k as usize)) {
+                *wl = v * x;
+            }
+            for (k, v) in terms {
+                vecops::axpy(v, s.row(k as usize), w);
+            }
+            for (j, out) in (i..).zip(upper.iter_mut()) {
+                *out = self.c * self.q.row_dot(j, w);
+            }
+            upper[0] += self.one_minus_c;
+        }
+    }
+
+    /// Fills the upper-triangle segment of every shared row from its
+    /// representative's row: `S_{t+1}[i,j] = S_{t+1}[r,j] + (1−C)·δ_ij`
+    /// for `j ≥ i > r`, all of which the sweep has computed.
+    fn copy_shared_rows(&self, next: &mut DenseMatrix) {
+        let n = next.cols();
+        let data = next.as_mut_slice();
+        for (i, &rep) in self.row_rep.iter().enumerate() {
+            let rep = rep as usize;
+            if rep == i {
+                continue;
+            }
+            let (head, tail) = data.split_at_mut(i * n);
+            tail[i..n].copy_from_slice(&head[rep * n + i..(rep + 1) * n]);
+            tail[i] += self.one_minus_c;
+        }
+    }
+}
+
+/// Copies the upper triangle of a square matrix into its lower triangle,
+/// one [`MIRROR_TILE`]-square tile at a time, so that the strided reads of
+/// a source tile are served from cache.
+fn mirror_upper(m: &mut DenseMatrix) {
+    let n = m.rows();
+    let data = m.as_mut_slice();
+    for bi in (0..n).step_by(MIRROR_TILE) {
+        for bj in (0..=bi).step_by(MIRROR_TILE) {
+            for i in bi..(bi + MIRROR_TILE).min(n) {
+                for j in bj..(bj + MIRROR_TILE).min(i) {
+                    data[i * n + j] = data[j * n + i];
+                }
             }
         }
     }
-    c
 }
 
 #[cfg(test)]
@@ -285,7 +383,7 @@ mod tests {
             ],
         );
         let s = batch_simrank(&g, &cfg(15));
-        assert!(s.is_symmetric(1e-12));
+        assert!(s.is_symmetric(0.0));
         for i in 0..6 {
             for j in 0..6 {
                 let v = s.get(i, j);
@@ -317,32 +415,89 @@ mod tests {
         assert!((with.scores.get(3, 4) - expect).abs() < 1e-12);
     }
 
+    /// A small xorshift stream, so the test graphs need no RNG crate.
+    fn xorshift(seed: u64) -> impl FnMut(u32) -> u32 {
+        let mut x = seed;
+        move |bound| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % u64::from(bound)) as u32
+        }
+    }
+
+    /// A citation-like DAG: node `v` cites three random pairs
+    /// `(5k, 5k + 1)` of older nodes, so the two nodes of a pair share
+    /// their in-neighbour set, and the nodes never cited share the empty
+    /// set.
+    fn citation_dag(n: usize) -> DiGraph {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut edges = Vec::new();
+        for v in 8..n as u32 {
+            for _ in 0..3 {
+                let t = next(v - 2);
+                let t = t - t % 5;
+                edges.push((v, t));
+                edges.push((v, t + 1));
+            }
+        }
+        DiGraph::from_edges(n, &edges)
+    }
+
+    /// A cyclic Erdős–Rényi-style graph with about `6·n` edges.
+    fn cyclic_er(n: usize) -> DiGraph {
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        let edges: Vec<(u32, u32)> = (0..6 * n)
+            .map(|_| (next(n as u32), next(n as u32)))
+            .filter(|(u, v)| u != v)
+            .collect();
+        DiGraph::from_edges(n, &edges)
+    }
+
+    /// The kernel against the dense Stein series at `K = 15`, and exact
+    /// symmetry of its output.
+    fn assert_matches_dense_series(g: &DiGraph) -> BatchResult {
+        let r = batch_simrank_detailed(g, &cfg(15), &BatchOptions::default());
+        let diff = r.scores.max_abs_diff(&ground_truth(g, 0.6, 15));
+        assert!(diff < 1e-12, "diff={diff}");
+        assert!(r.scores.is_symmetric(0.0), "not exactly symmetric");
+        r
+    }
+
+    #[test]
+    fn fused_sweep_matches_dense_series_on_a_dag() {
+        let g = citation_dag(300);
+        assert!((0..300).filter(|&v| g.in_degree(v) == 0).count() > 1);
+        let r = assert_matches_dense_series(&g);
+        assert!(r.shared_rows > 1, "shared_rows={}", r.shared_rows);
+    }
+
+    #[test]
+    fn fused_sweep_matches_dense_series_on_a_cyclic_graph() {
+        assert_matches_dense_series(&cyclic_er(296));
+    }
+
     #[test]
     fn single_and_multi_thread_agree() {
-        let mut edges = Vec::new();
-        let n = 150;
-        for i in 0..n as u32 {
-            edges.push((i, (i * 7 + 1) % n as u32));
-            edges.push((i, (i * 3 + 11) % n as u32));
+        // Above the serial cutoff and not divisible by 3, so every
+        // worker count splits the rows unevenly.
+        let n = 200;
+        assert!(n >= PARALLEL_MIN_ROWS && n % 3 != 0);
+        for g in [citation_dag(n), cyclic_er(n)] {
+            let run = |threads| {
+                let opts = BatchOptions {
+                    threads,
+                    ..Default::default()
+                };
+                batch_simrank_detailed(&g, &cfg(5), &opts).scores
+            };
+            let bits =
+                |m: &DenseMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let seq = bits(&run(1));
+            for threads in 2..=4 {
+                assert!(seq == bits(&run(threads)), "threads={threads} differs");
+            }
         }
-        let g = DiGraph::from_edges(n, &edges);
-        let seq = batch_simrank_detailed(
-            &g,
-            &cfg(5),
-            &BatchOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        let par = batch_simrank_detailed(
-            &g,
-            &cfg(5),
-            &BatchOptions {
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert!(seq.scores.max_abs_diff(&par.scores) < 1e-12);
     }
 
     #[test]

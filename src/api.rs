@@ -474,13 +474,14 @@ impl SimRankBuilder {
     /// router over [`Self::shards`] per-shard engines, batch-computing the
     /// initial scores once and seeding every shard with them. Matrix-free
     /// kinds skip the precomputation entirely (each shard just clones the
-    /// graph — no `n²` allocation anywhere on the path).
+    /// graph — no `n²` allocation anywhere on the path), and so does a
+    /// reopened non-empty [`Self::wal`], which rebuilds from its own
+    /// checkpoints.
     pub fn build_sharded(self, graph: DiGraph) -> Result<crate::serve::ShardedSimRank, BuildError> {
-        if self.kind.is_matrix_free() {
-            return crate::serve::ShardedSimRank::build_internal(self, graph, None);
-        }
-        let scores = batch_simrank(&graph, &self.cfg);
-        crate::serve::ShardedSimRank::with_scores(self, graph, scores)
+        let (cfg, matrix_free) = (self.cfg, self.kind.is_matrix_free());
+        crate::serve::ShardedSimRank::build_internal(self, graph, |g| {
+            (!matrix_free).then(|| batch_simrank(g, &cfg))
+        })
     }
 
     /// Terminal: builds a

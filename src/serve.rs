@@ -535,9 +535,9 @@ pub struct ShardedSimRank {
 
 impl ShardedSimRank {
     /// Builds the router from a builder, a graph, and pre-computed scores
-    /// (every shard is seeded with a copy; [`EngineKind::IncSvd`] shards
-    /// derive their own factorisation as usual, and matrix-free kinds
-    /// ignore the matrix — prefer
+    /// (the last shard takes the matrix, the others a copy of it;
+    /// [`EngineKind::IncSvd`] shards derive their own factorisation as
+    /// usual, and matrix-free kinds ignore the matrix — prefer
     /// [`SimRankBuilder::build_sharded`](crate::api::SimRankBuilder::build_sharded)
     /// for those, which never allocates it in the first place).
     ///
@@ -547,17 +547,18 @@ impl ShardedSimRank {
         graph: DiGraph,
         scores: DenseMatrix,
     ) -> Result<Self, BuildError> {
-        Self::build_internal(builder, graph, Some(scores))
+        Self::build_internal(builder, graph, |_| Some(scores))
     }
 
-    /// Shared construction: `scores` of `None` lets each shard build
-    /// without ever seeing an `n²` buffer (matrix-free kinds) or compute
-    /// its own (matrix kinds — the public paths always pass `Some` for
-    /// those, computing the batch scores once, not per shard).
+    /// Shared construction. `scores` yields the initial matrix, or `None`
+    /// to let each shard build on its own (matrix-free shards never see an
+    /// `n²` buffer). It runs only once the write-ahead log, if any, is
+    /// found empty: a non-empty log rebuilds every shard from its own
+    /// checkpoints, so a precompute there would be thrown away.
     pub(crate) fn build_internal(
         builder: SimRankBuilder,
         graph: DiGraph,
-        scores: Option<DenseMatrix>,
+        scores: impl FnOnce(&DiGraph) -> Option<DenseMatrix>,
     ) -> Result<Self, BuildError> {
         // Durable routers attach the write-ahead log first: an existing
         // non-empty log is the authoritative history and *overrides* the
@@ -575,11 +576,18 @@ impl ShardedSimRank {
 
         let shard_count = builder.shard_count();
         let partition = ShardPartition::new(graph.node_count(), shard_count);
+        let mut scores = scores(&graph);
         let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
+        for k in 0..shard_count {
             let b = builder.clone();
-            shards.push(match &scores {
-                Some(s) => b.with_scores(graph.clone(), s.clone())?,
+            // The last shard takes the matrix itself; the others copy it.
+            let s = if k + 1 == shard_count {
+                scores.take()
+            } else {
+                scores.clone()
+            };
+            shards.push(match s {
+                Some(s) => b.with_scores(graph.clone(), s)?,
                 None => b.from_graph(graph.clone())?,
             });
         }
@@ -3584,6 +3592,36 @@ mod tests {
         // recovered answers are bit-identical, not just close.
         assert_eq!(recovered.pair_at(0, 1, 0).unwrap(), pre_e0);
         assert_eq!(recovered.pair_at(4, 6, e1).unwrap(), pre_e1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reopening_a_nonempty_log_skips_the_precompute() {
+        let path = tmp_wal("reopen_precompute");
+        let _ = std::fs::remove_file(&path);
+        let durable = SimRankBuilder::new().config(cfg()).shards(2).wal(&path);
+        let precomputes = std::cell::Cell::new(0);
+        let build = || {
+            ShardedSimRank::build_internal(durable.clone(), fixture(), |g| {
+                precomputes.set(precomputes.get() + 1);
+                Some(batch_simrank(g, &cfg()))
+            })
+        };
+
+        // A fresh log records the precomputed base as its checkpoint.
+        let mut live = build().unwrap();
+        assert_eq!(precomputes.get(), 1);
+        live.insert(0, 1).unwrap();
+        live.insert(4, 5).unwrap();
+        let before = live.pair(0, 1);
+        drop(live);
+
+        // The reopen rebuilds from that checkpoint plus replay, and never
+        // runs the precompute it would throw away.
+        let reopened = build().unwrap();
+        assert_eq!(precomputes.get(), 1, "the reopen ran the precompute");
+        assert!(reopened.graph().has_edge(0, 1) && reopened.graph().has_edge(4, 5));
+        assert!((reopened.pair(0, 1) - before).abs() < 1e-12);
         let _ = std::fs::remove_file(&path);
     }
 
