@@ -7,7 +7,7 @@
 //! its schema on one audited substrate instead of re-rolling it:
 //!
 //! * **Integrity framing** — `[len u32 LE][crc32 u32 LE][payload]`
-//!   frames ([`put_frame`], [`frame_at`], [`frame_offsets`]) with an
+//!   frames ([`put_frame_with`], [`frame_at`], [`frame_offsets`]) with an
 //!   IEEE [`crc32`] so torn tails and bit flips are detected, never
 //!   silently replayed.
 //! * **Little-endian primitives** — fixed-width writers
@@ -264,11 +264,30 @@ pub fn record(bytes: &[u8]) -> Option<(u8, &[u8])> {
 /// Bytes of frame overhead: `[len u32 LE][crc32 u32 LE]`.
 pub const FRAME_HEADER: usize = 8;
 
-/// Appends one `[len][crc][payload]` frame.
-pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+/// Appends one `[len][crc][payload]` frame whose payload `write`
+/// encodes straight into `out`: the header is reserved first and
+/// back-patched with the payload's length and CRC, so a large payload is
+/// never staged in a buffer of its own.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`] when the payload does not fit the
+/// `u32` length field; `out` is then left as it was.
+pub fn put_frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    write(out);
+    let payload = &out[start + FRAME_HEADER..];
+    let Ok(len) = u32::try_from(payload.len()) else {
+        out.truncate(start);
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "frame payload exceeds the u32 length field",
+        ));
+    };
+    let crc = crc32(payload);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Reads a little-endian `u32` at `offset`, or `None` past the end.
@@ -478,9 +497,9 @@ mod tests {
     #[test]
     fn frames_walk_and_stop_at_corruption() {
         let mut buf = Vec::new();
-        put_frame(&mut buf, b"alpha");
-        put_frame(&mut buf, b"");
-        put_frame(&mut buf, b"beta");
+        for payload in [&b"alpha"[..], b"", b"beta"] {
+            put_frame_with(&mut buf, |p| p.extend_from_slice(payload)).unwrap();
+        }
         let offs = frame_offsets(&buf, 0);
         assert_eq!(offs.len(), 4);
         assert_eq!(*offs.last().unwrap(), buf.len());

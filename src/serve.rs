@@ -569,7 +569,7 @@ impl ShardedSimRank {
         if let Some(path) = builder.wal_path() {
             let (w, recovered) = Wal::open_or_create(path)?;
             if let Some(log) = recovered.filter(|l| !l.records.is_empty()) {
-                return Self::recover_internal(builder, w, &log);
+                return Self::recover_internal(builder, w, log);
             }
             wal = Some(w);
         }
@@ -629,7 +629,7 @@ impl ShardedSimRank {
     fn recover_internal(
         builder: SimRankBuilder,
         wal: Wal,
-        log: &wal::RecoveredLog,
+        mut log: wal::RecoveredLog,
     ) -> Result<Self, BuildError> {
         let cp = log
             .newest_checkpoint(None)
@@ -644,18 +644,18 @@ impl ShardedSimRank {
         let mut replayed = 0u64;
         for s in 0..shard_count {
             let rebuilt =
-                wal::rebuild_engine(&builder, log, Some(s as u32)).map_err(BuildError::from)?;
+                wal::rebuild_engine(&builder, &log, Some(s as u32)).map_err(BuildError::from)?;
             replayed += rebuilt.replayed_ops;
             shards.push(rebuilt.sim);
         }
-        let graph = Self::replay_authoritative_graph(log).map_err(BuildError::from)?;
+        let graph = Self::replay_authoritative_graph(&log).map_err(BuildError::from)?;
         debug_assert!(shards
             .iter()
             .all(|s| { s.graph().node_count() == graph.node_count() }));
         let last_seq = log.last_seq();
         let _ = replayed; // per-shard counters already carry the replay accounting
         let pending_history =
-            (builder.retained_epochs() > 1).then(|| Self::recover_history(log, shard_count));
+            (builder.retained_epochs() > 1).then(|| Self::recover_history(&mut log, shard_count));
         Ok(ShardedSimRank {
             health: vec![ShardHealth::Healthy; shards.len()],
             checkpoint_every: builder.checkpoint_cadence(),
@@ -672,23 +672,15 @@ impl ShardedSimRank {
         })
     }
 
-    /// Extracts the newest persisted epoch ring from a recovered log for
+    /// Moves the newest persisted epoch ring out of a recovered log for
     /// [`ConcurrentSimRank::new`] to rehydrate, degrading to a typed
     /// head-only outcome — never an error — when the log has no usable
     /// ring (a v1 log, a torn or corrupt round, or a geometry mismatch).
-    fn recover_history(log: &wal::RecoveredLog, shard_count: usize) -> PendingHistory {
+    fn recover_history(log: &mut wal::RecoveredLog, shard_count: usize) -> PendingHistory {
         // The newest meta trailer's head sequence survives even when the
         // round itself is unusable: the new incarnation numbers past it.
-        let floor = log
-            .records
-            .iter()
-            .rev()
-            .find_map(|r| match r {
-                wal::WalRecord::EpochMeta(m) => Some(m.head_seq),
-                _ => None,
-            })
-            .unwrap_or(0);
-        let Some((meta, deltas)) = log.newest_epoch_ring() else {
+        let floor = log.history_floor();
+        let Some((meta, deltas)) = log.take_epoch_ring() else {
             return if log.has_epoch_frames() {
                 PendingHistory::Unavailable {
                     reason: "the persisted epoch-ring round is torn or corrupt; \
@@ -722,28 +714,20 @@ impl ShardedSimRank {
                 if !matches!(meta.anchors[s], wal::ShardDeltaImage::Dense(_)) {
                     return None;
                 }
-                log.records.iter().rev().find_map(|r| match r {
-                    wal::WalRecord::Checkpoint(c)
-                        if c.seq == meta.cp_seq
-                            && (c.shard == Some(s as u32) || c.shard.is_none()) =>
-                    {
-                        match &c.image {
-                            wal::CheckpointImage::Dense(bytes) => {
-                                crate::core::snapshot::load(&mut &bytes[..])
-                                    .ok()
-                                    .map(|snap| snap.scores)
-                            }
-                            wal::CheckpointImage::GraphOnly { .. } => None,
-                        }
+                match &log.checkpoint_at(Some(s as u32), meta.cp_seq)?.image {
+                    wal::CheckpointImage::Dense(bytes) => {
+                        crate::core::snapshot::load(&mut &bytes[..])
+                            .ok()
+                            .map(|snap| snap.scores)
                     }
-                    _ => None,
-                })
+                    wal::CheckpointImage::GraphOnly { .. } => None,
+                }
             })
             .collect();
         let suffix_ops: Vec<ReplayOp> = log.ops_after(meta.cp_seq).map(|e| e.op).collect();
         PendingHistory::Ring {
-            meta: meta.clone(),
-            deltas: deltas.iter().map(|&d| d.clone()).collect(),
+            meta,
+            deltas,
             cp_scores,
             suffix_ops,
         }
@@ -1934,7 +1918,7 @@ impl ConcurrentSimRank {
             suffix_ops,
         }) = pending
         {
-            srv.rehydrate_ring(&head, meta, &deltas, &cp_scores, suffix_ops);
+            srv.rehydrate_ring(&head, meta, deltas, &cp_scores, suffix_ops);
         }
         // A fresh durable build just wrote its base checkpoint at seq 0;
         // persist the ring round against it so retained history survives
@@ -1964,13 +1948,14 @@ impl ConcurrentSimRank {
         &mut self,
         head: &Epoch,
         meta: wal::EpochMetaRecord,
-        deltas: &[wal::EpochDeltaRecord],
+        deltas: Vec<wal::EpochDeltaRecord>,
         cp_scores: &[Option<DenseMatrix>],
         suffix_ops: Vec<ReplayOp>,
     ) {
         let shard_count = self.inner.shards.len();
-        let to_delta = |img: &wal::ShardDeltaImage| match img {
-            wal::ShardDeltaImage::Dense(d) => ShardDelta::Dense(d.clone()),
+        let restored = deltas.len() as u64 + 1;
+        let to_delta = |img: wal::ShardDeltaImage| match img {
+            wal::ShardDeltaImage::Dense(d) => ShardDelta::Dense(d),
             wal::ShardDeltaImage::Replay => ShardDelta::Replay,
             wal::ShardDeltaImage::Broken => ShardDelta::Broken,
         };
@@ -1980,9 +1965,9 @@ impl ConcurrentSimRank {
                 stamp: d.stamp,
                 at_op: d.at_op,
                 n: d.n,
-                shards: d.shards.iter().map(to_delta).collect(),
+                shards: d.shards.into_iter().map(to_delta).collect(),
                 degraded: vec![None; shard_count],
-                ops_to_next: d.ops.clone(),
+                ops_to_next: d.ops,
             });
         }
         let mut shards = Vec::with_capacity(shard_count);
@@ -2019,7 +2004,7 @@ impl ConcurrentSimRank {
             degraded: vec![None; shard_count],
             ops_to_next,
         });
-        self.epochs_retained += deltas.len() as u64 + 1;
+        self.epochs_retained += restored;
         self.tail_graphs = meta.tails;
         // The current retention window may be narrower than the persisted
         // one (or the spliced head overflows it): evict from the tail,

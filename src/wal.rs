@@ -27,7 +27,7 @@
 //! | 3 | checkpoint (v1) | `shard u32` (`u32::MAX` = global base), `shard_count u32`, `block u64`, `seq u64`, `image_kind u8`, `image_len u64`, image bytes |
 //! | 4 | checkpoint (v2) | `version u8` (= 1), then the v1 layout |
 //! | 5 | epoch-ring meta | `version u8` (= 1), `cp_seq u64`, head descriptor, `retain`/`entries` varints, per-shard anchors, pending ops, per-shard tail graphs |
-//! | 6 | epoch delta | `version u8` (= 1), `cp_seq u64`, `seq u64`, `stamp u64`, `at_op u64`, `n` varint, per-shard delta images, op slice |
+//! | 6 | epoch delta | `version u8` (= 1), `cp_seq u64`, `seq u64`, `stamp u64`, `at_op u64`, `n` varint, shard count varint + per-shard delta images (`0` + factors, `1` replay, `2` broken), op slice (count varint + per op `0`/`1` + `u`/`v` varints for insert/delete, `2` for add node) |
 //!
 //! All integers are little-endian; variable-length fields use the shared
 //! [`incsim_codec`] varint. Checkpoint images come in two kinds: `0` =
@@ -64,20 +64,35 @@
 //! durable, and can *tear* the final frames. Torn tails are expected,
 //! not errors: [`read_records`] stops at the first frame whose length or
 //! checksum does not hold, reports the prefix, and [`Wal::open_or_create`]
-//! physically truncates the tail so the log is clean again. A failed
-//! append truncates the file back to its pre-append length, so a log
-//! never holds a half-written batch from a *live* process either.
+//! physically truncates the tail so the log is clean again. A file that
+//! holds only a prefix of the magic (a crash between create and the
+//! magic write) opens as a fresh log. A failed append truncates the file
+//! back to its pre-append length, so a log never holds a half-written
+//! batch from a *live* process either.
+//!
+//! The log itself is never compacted: every checkpoint round appends a
+//! full head image and ring round, so the file grows with uptime.
+//! Recovery memory does not. The reader streams the file one frame at a
+//! time, bounds each frame's length by the bytes left before allocating
+//! for it, and keeps only what a newer frame does not supersede (see
+//! [`RecoveredLog::records`]): the op stream plus one round's images and
+//! ring. Log length still costs recovery *time*, since every frame is
+//! CRC-checked and decoded.
 //!
 //! ## Recovery
 //!
-//! [`rebuild_engine`] finds the newest usable checkpoint (per shard, or
-//! the global base written when the log was attached), reconstructs the
-//! engine from its image, and replays the op suffix. For the exact
-//! engines the result is bit-identical to the pre-crash engine's
-//! materialised scores under the fixed apply policies (and within the
-//! recompression bar under `Auto`, whose per-op routing depends on query
-//! traffic that is not logged); for the probe engine the rebuilt state is
-//! seed-identical — the same builder seed replays to the same sampler.
+//! [`read_log`] streams the file into a [`RecoveredLog`] holding the op
+//! stream, the newest checkpoint per shard key (the global base and each
+//! shard), the newest epoch-ring round with the checkpoints it anchors
+//! to, and nothing older. [`rebuild_engine`] finds the newest usable
+//! checkpoint (per shard, or the global base written when the log was
+//! attached), reconstructs the engine from its image, and replays the op
+//! suffix. For the exact engines the result is bit-identical to the
+//! pre-crash engine's materialised scores under the fixed apply policies
+//! (and within the recompression bar under `Auto`, whose per-op routing
+//! depends on query traffic that is not logged); for the probe engine the
+//! rebuilt state is seed-identical — the same builder seed replays to the
+//! same sampler.
 //!
 //! Per-shard rebuild replays only the ops the shard owns, using the
 //! partition geometry (`shard_count`, `block`) stored in the checkpoint
@@ -106,8 +121,9 @@ use crate::core::SimRankConfig;
 use crate::graph::{DiGraph, UpdateOp};
 use incsim_codec::{self as codec, put_u32, put_u64, put_u8, put_uvarint};
 use incsim_linalg::LowRankDelta;
+use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 pub mod faults;
@@ -355,65 +371,64 @@ pub enum WalRecord {
 }
 
 // ---- encode -------------------------------------------------------------
+//
+// Each encoder appends one record payload to the buffer it is handed; the
+// writer runs them inside `codec::put_frame_with`, so a payload is written
+// once, straight into the frame buffer that goes to disk.
 
-fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    codec::put_frame(out, payload);
-}
-
-fn encode_op_payload(seq: u64, op: UpdateOp) -> Vec<u8> {
-    let mut p = Vec::with_capacity(18);
+fn encode_op_into(p: &mut Vec<u8>, seq: u64, op: UpdateOp) {
     p.push(TAG_OP);
     p.push(match op {
         UpdateOp::Insert(..) => 0,
         UpdateOp::Delete(..) => 1,
     });
     let (u, v) = op.endpoints();
-    put_u32(&mut p, u);
-    put_u32(&mut p, v);
-    put_u64(&mut p, seq);
-    p
+    put_u32(p, u);
+    put_u32(p, v);
+    put_u64(p, seq);
 }
 
-fn encode_add_node_payload(seq: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(9);
+fn encode_add_node_into(p: &mut Vec<u8>, seq: u64) {
     p.push(TAG_ADD_NODE);
-    put_u64(&mut p, seq);
-    p
+    put_u64(p, seq);
 }
 
-fn encode_checkpoint_payload(cp: &CheckpointRecord) -> Vec<u8> {
-    let mut image = Vec::new();
-    let image_kind = match &cp.image {
-        CheckpointImage::GraphOnly { config, graph } => {
-            image.extend_from_slice(&config.c.to_le_bytes());
-            put_u64(&mut image, config.iterations as u64);
-            image.extend_from_slice(&config.zero_tol.to_le_bytes());
-            put_u64(&mut image, graph.node_count() as u64);
-            put_u64(&mut image, graph.edge_count() as u64);
-            for (u, v) in graph.edges() {
-                put_u64(&mut image, ((u as u64) << 32) | v as u64);
-            }
-            IMAGE_GRAPH_ONLY
-        }
-        CheckpointImage::Dense(bytes) => {
-            image.extend_from_slice(bytes);
-            IMAGE_DENSE
-        }
+/// Bytes of a v2 checkpoint payload ahead of its image: tag, version,
+/// shard, shard count, block, seq, image kind and image length.
+const CHECKPOINT_HEAD: usize = 35;
+
+fn encode_checkpoint_into(p: &mut Vec<u8>, cp: &CheckpointRecord) {
+    let (image_kind, image_len) = match &cp.image {
+        // Config (c, iterations, zero_tol), n and m, then one packed
+        // `u64` per edge.
+        CheckpointImage::GraphOnly { graph, .. } => (IMAGE_GRAPH_ONLY, 40 + 8 * graph.edge_count()),
+        CheckpointImage::Dense(bytes) => (IMAGE_DENSE, bytes.len()),
     };
+    p.reserve(CHECKPOINT_HEAD + image_len);
     // Always written as v2: the tag is followed by a record-envelope
     // version byte, then the same body v1 carried. v1 frames (tag 3, no
     // version byte) stay decodable forever.
-    let mut p = Vec::with_capacity(30 + image.len());
     p.push(TAG_CHECKPOINT2);
     p.push(RECORD_VERSION);
-    put_u32(&mut p, cp.shard.unwrap_or(SHARD_GLOBAL));
-    put_u32(&mut p, cp.shard_count);
-    put_u64(&mut p, cp.block);
-    put_u64(&mut p, cp.seq);
+    put_u32(p, cp.shard.unwrap_or(SHARD_GLOBAL));
+    put_u32(p, cp.shard_count);
+    put_u64(p, cp.block);
+    put_u64(p, cp.seq);
     p.push(image_kind);
-    put_u64(&mut p, image.len() as u64);
-    p.extend_from_slice(&image);
-    p
+    put_u64(p, image_len as u64);
+    match &cp.image {
+        CheckpointImage::GraphOnly { config, graph } => {
+            p.extend_from_slice(&config.c.to_le_bytes());
+            put_u64(p, config.iterations as u64);
+            p.extend_from_slice(&config.zero_tol.to_le_bytes());
+            put_u64(p, graph.node_count() as u64);
+            put_u64(p, graph.edge_count() as u64);
+            for (u, v) in graph.edges() {
+                put_u64(p, ((u as u64) << 32) | v as u64);
+            }
+        }
+        CheckpointImage::Dense(bytes) => p.extend_from_slice(bytes),
+    }
 }
 
 fn encode_replay_ops(p: &mut Vec<u8>, ops: &[ReplayOp]) {
@@ -455,50 +470,46 @@ fn encode_graph(p: &mut Vec<u8>, graph: &DiGraph) {
     }
 }
 
-fn encode_epoch_delta_payload(rec: &EpochDeltaRecord) -> Vec<u8> {
-    let mut p = Vec::new();
+fn encode_epoch_delta_into(p: &mut Vec<u8>, rec: &EpochDeltaRecord) {
     p.push(TAG_EPOCH_DELTA);
     p.push(RECORD_VERSION);
-    put_u64(&mut p, rec.cp_seq);
-    put_u64(&mut p, rec.seq);
-    put_u64(&mut p, rec.stamp);
-    put_u64(&mut p, rec.at_op);
-    put_uvarint(&mut p, rec.n as u64);
-    put_uvarint(&mut p, rec.shards.len() as u64);
+    put_u64(p, rec.cp_seq);
+    put_u64(p, rec.seq);
+    put_u64(p, rec.stamp);
+    put_u64(p, rec.at_op);
+    put_uvarint(p, rec.n as u64);
+    put_uvarint(p, rec.shards.len() as u64);
     for img in &rec.shards {
-        encode_shard_delta(&mut p, img);
+        encode_shard_delta(p, img);
     }
-    encode_replay_ops(&mut p, &rec.ops);
-    p
+    encode_replay_ops(p, &rec.ops);
 }
 
-fn encode_epoch_meta_payload(rec: &EpochMetaRecord) -> Vec<u8> {
-    let mut p = Vec::new();
+fn encode_epoch_meta_into(p: &mut Vec<u8>, rec: &EpochMetaRecord) {
     p.push(TAG_EPOCH_META);
     p.push(RECORD_VERSION);
-    put_u64(&mut p, rec.cp_seq);
-    put_u64(&mut p, rec.head_seq);
-    put_u64(&mut p, rec.head_stamp);
-    put_u64(&mut p, rec.head_at_op);
-    put_uvarint(&mut p, rec.head_n as u64);
-    put_uvarint(&mut p, rec.retain as u64);
-    put_uvarint(&mut p, rec.entries as u64);
-    put_uvarint(&mut p, rec.anchors.len() as u64);
+    put_u64(p, rec.cp_seq);
+    put_u64(p, rec.head_seq);
+    put_u64(p, rec.head_stamp);
+    put_u64(p, rec.head_at_op);
+    put_uvarint(p, rec.head_n as u64);
+    put_uvarint(p, rec.retain as u64);
+    put_uvarint(p, rec.entries as u64);
+    put_uvarint(p, rec.anchors.len() as u64);
     for img in &rec.anchors {
-        encode_shard_delta(&mut p, img);
+        encode_shard_delta(p, img);
     }
-    encode_replay_ops(&mut p, &rec.pending);
-    put_uvarint(&mut p, rec.tails.len() as u64);
+    encode_replay_ops(p, &rec.pending);
+    put_uvarint(p, rec.tails.len() as u64);
     for tail in &rec.tails {
         match tail {
             Some(g) => {
-                put_u8(&mut p, 1);
-                encode_graph(&mut p, g);
+                put_u8(p, 1);
+                encode_graph(p, g);
             }
-            None => put_u8(&mut p, 0),
+            None => put_u8(p, 0),
         }
     }
-    p
 }
 
 // ---- decode -------------------------------------------------------------
@@ -727,7 +738,18 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
 /// The parse of a (possibly torn) log.
 #[derive(Debug)]
 pub struct RecoveredLog {
-    /// Every record of the valid prefix, in append order.
+    /// The records recovery reads, in append order. Every frame of the
+    /// valid prefix is checksummed and decoded, but only what no newer
+    /// frame supersedes is kept: every op and add-node record; per
+    /// checkpoint key (the global base and each shard) the newest
+    /// checkpoint and the newest one at the newest epoch-ring meta's
+    /// `cp_seq`; that meta; the epoch-delta frames whose `cp_seq` is at
+    /// least its own; and at most one [`WalRecord::EpochUnusable`]
+    /// marker. So recovery holds one round's images and ring plus the op
+    /// stream however many rounds the log has accumulated, and every
+    /// method below answers as it would over the full frame list, given
+    /// the writer's invariant that sequence numbers never decrease along
+    /// the log.
     pub records: Vec<WalRecord>,
     /// `true` when the log ended in a torn/corrupt frame that was cut off
     /// (the expected shape after a crash mid-append).
@@ -761,15 +783,27 @@ impl RecoveredLog {
             .count()
     }
 
+    /// The checkpoints usable for `shard`, newest first.
+    fn checkpoints_for(&self, shard: Option<u32>) -> impl Iterator<Item = &CheckpointRecord> {
+        self.records.iter().rev().filter_map(move |r| match r {
+            WalRecord::Checkpoint(cp) if cp.shard.is_none() || cp.shard == shard => Some(cp),
+            _ => None,
+        })
+    }
+
     /// The newest checkpoint usable for `shard`: a checkpoint tagged with
     /// that shard, or the global base. `shard` of `None` accepts only the
     /// global base (whole-system rebuild must not start from one shard's
     /// diverged image).
     pub fn newest_checkpoint(&self, shard: Option<u32>) -> Option<&CheckpointRecord> {
-        self.records.iter().rev().find_map(|r| match r {
-            WalRecord::Checkpoint(cp) if cp.shard.is_none() || cp.shard == shard => Some(cp),
-            _ => None,
-        })
+        self.checkpoints_for(shard).next()
+    }
+
+    /// The newest checkpoint usable for `shard` that covers exactly the
+    /// ops up to `seq`: the image a ring round at `cp_seq = seq` anchors
+    /// to.
+    pub(crate) fn checkpoint_at(&self, shard: Option<u32>, seq: u64) -> Option<&CheckpointRecord> {
+        self.checkpoints_for(shard).find(|cp| cp.seq == seq)
     }
 
     /// Op and add-node records with sequence numbers after `seq`, as
@@ -818,6 +852,38 @@ impl RecoveredLog {
         Some((meta, deltas))
     }
 
+    /// Moves the round [`Self::newest_epoch_ring`] selects out of the log,
+    /// so recovery adopts its factors without copying them. Every
+    /// epoch-meta record leaves with it; checkpoints and ops stay for the
+    /// rest of recovery.
+    pub(crate) fn take_epoch_ring(&mut self) -> Option<(EpochMetaRecord, Vec<EpochDeltaRecord>)> {
+        let cp_seq = self.newest_epoch_ring()?.0.cp_seq;
+        let mut meta = None;
+        let mut deltas = Vec::new();
+        for rec in std::mem::take(&mut self.records) {
+            match rec {
+                WalRecord::EpochMeta(m) => meta = Some(m),
+                WalRecord::EpochDelta(d) if d.cp_seq == cp_seq => deltas.push(d),
+                other => self.records.push(other),
+            }
+        }
+        Some((meta?, deltas))
+    }
+
+    /// The newest epoch-ring meta's `head_seq` (0 without one), whether or
+    /// not its round is usable: a recovered incarnation numbers its
+    /// epochs past it.
+    pub(crate) fn history_floor(&self) -> u64 {
+        self.records
+            .iter()
+            .rev()
+            .find_map(|r| match r {
+                WalRecord::EpochMeta(m) => Some(m.head_seq),
+                _ => None,
+            })
+            .unwrap_or(0)
+    }
+
     /// `true` when the log holds at least one epoch frame (usable or
     /// not) — i.e. it was written by a ring-persisting build.
     pub fn has_epoch_frames(&self) -> bool {
@@ -827,6 +893,71 @@ impl RecoveredLog {
                 WalRecord::EpochMeta(_) | WalRecord::EpochDelta(_) | WalRecord::EpochUnusable
             )
         })
+    }
+}
+
+/// The records a streaming parse keeps, in log order: the retention rule
+/// of [`RecoveredLog::records`], applied as each frame is decoded so a
+/// superseded image or ring round is freed before the next one is read.
+///
+/// A record is dropped only once a later frame makes it unreachable for
+/// every [`RecoveredLog`] query. That holds because sequence numbers never
+/// decrease along a log: a checkpoint's `seq` and a round's `cp_seq` are
+/// the writer's last op sequence at the time, so no later meta can name
+/// a `cp_seq` below one already seen.
+#[derive(Default)]
+struct Retained {
+    /// Every decoded record, `None` once superseded.
+    slots: Vec<Option<WalRecord>>,
+    /// Slots of the live checkpoint and epoch records, the only ones a
+    /// later frame can supersede.
+    aux: Vec<usize>,
+}
+
+impl Retained {
+    fn push(&mut self, rec: WalRecord) {
+        let replayable = matches!(rec, WalRecord::Op { .. } | WalRecord::AddNode { .. });
+        if !replayable {
+            self.aux.push(self.slots.len());
+        }
+        self.slots.push(Some(rec));
+        if !replayable {
+            self.prune();
+        }
+    }
+
+    /// Walks the live checkpoint and epoch records newest first and drops
+    /// each one a newer record supersedes.
+    fn prune(&mut self) {
+        let ring_seq = self.aux.iter().rev().find_map(|&i| match &self.slots[i] {
+            Some(WalRecord::EpochMeta(m)) => Some(m.cp_seq),
+            _ => None,
+        });
+        let mut newest = BTreeSet::new();
+        let mut at_ring = BTreeSet::new();
+        let (mut meta, mut unusable) = (false, false);
+        for &i in self.aux.iter().rev() {
+            let keep = match &self.slots[i] {
+                Some(WalRecord::Checkpoint(cp)) => {
+                    let is_newest = newest.insert(cp.shard);
+                    let is_at_ring = ring_seq == Some(cp.seq) && at_ring.insert(cp.shard);
+                    is_newest || is_at_ring
+                }
+                Some(WalRecord::EpochMeta(_)) => !std::mem::replace(&mut meta, true),
+                Some(WalRecord::EpochDelta(d)) => ring_seq.is_none_or(|c| d.cp_seq >= c),
+                Some(WalRecord::EpochUnusable) => !std::mem::replace(&mut unusable, true),
+                // Ops never enter `aux`: the whole stream is replayable.
+                _ => true,
+            };
+            if !keep {
+                self.slots[i] = None;
+            }
+        }
+        self.aux.retain(|&i| self.slots[i].is_some());
+    }
+
+    fn into_records(self) -> Vec<WalRecord> {
+        self.slots.into_iter().flatten().collect()
     }
 }
 
@@ -887,43 +1018,84 @@ pub fn frame_kinds(bytes: &[u8]) -> Vec<(usize, FrameKind)> {
 /// Parses a log image. Stops cleanly — `torn`, not an error — at the
 /// first frame whose length does not fit, whose checksum does not hold,
 /// or whose payload does not decode: after a crash that is precisely the
-/// torn tail, and everything before it is intact by construction.
+/// torn tail, and everything before it is intact by construction. Only
+/// the records [`RecoveredLog::records`] describes are kept.
 ///
 /// # Errors
 /// [`WalError::BadMagic`] when the buffer does not start with `INCSWAL1`.
 pub fn read_records(bytes: &[u8]) -> Result<RecoveredLog, WalError> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
+    read_frames(bytes, bytes.len() as u64)
+}
+
+/// Reads and parses a log file, streaming it frame by frame — see
+/// [`read_records`]. Memory stays at the retained records plus one
+/// payload, not the file's size.
+///
+/// # Errors
+/// [`WalError::BadMagic`] when the file does not start with `INCSWAL1`;
+/// [`WalError::Io`] when it cannot be read.
+pub fn read_log(path: &Path) -> Result<RecoveredLog, WalError> {
+    let file = File::open(path)?;
+    let total = file.metadata()?.len();
+    read_frames(BufReader::new(file), total)
+}
+
+/// The one log parser: reads the `total` bytes of a log from `r`, one
+/// frame at a time, into a single reused payload buffer.
+fn read_frames(mut r: impl Read, total: u64) -> Result<RecoveredLog, WalError> {
+    if total < MAGIC.len() as u64 {
         return Err(WalError::BadMagic);
     }
-    let mut records = Vec::new();
-    let mut pos = MAGIC.len();
+    let mut magic = [0u8; MAGIC.len()];
+    r.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(WalError::BadMagic);
+    }
+    let mut kept = Retained::default();
+    let mut payload = Vec::new();
+    let mut pos = MAGIC.len() as u64;
     let mut torn = false;
-    while pos < bytes.len() {
-        let frame_ok = codec::frame_at(bytes, pos)
-            .and_then(|(payload, next)| decode_payload(payload).map(|rec| (rec, next)));
-        match frame_ok {
-            Some((rec, next)) => {
-                records.push(rec);
-                pos = next;
-            }
-            None => {
-                torn = true;
-                break;
-            }
-        }
+    while pos < total {
+        let Some(rec) = next_record(&mut r, total - pos, &mut payload)? else {
+            torn = true;
+            break;
+        };
+        kept.push(rec);
+        pos += (FRAME_HEADER + payload.len()) as u64;
     }
     Ok(RecoveredLog {
-        records,
+        records: kept.into_records(),
         torn,
-        valid_bytes: pos as u64,
+        valid_bytes: pos,
     })
 }
 
-/// Reads and parses a log file — see [`read_records`].
-pub fn read_log(path: &Path) -> Result<RecoveredLog, WalError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    read_records(&bytes)
+/// Reads the next frame into `payload` and decodes it. `None` when the
+/// frame does not fit in the `remaining` bytes, its checksum does not
+/// hold, or its payload does not decode: the torn tail.
+fn next_record(
+    r: &mut impl Read,
+    remaining: u64,
+    payload: &mut Vec<u8>,
+) -> io::Result<Option<WalRecord>> {
+    if remaining < FRAME_HEADER as u64 {
+        return Ok(None);
+    }
+    let mut header = [0u8; FRAME_HEADER];
+    r.read_exact(&mut header)?;
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    // The length is bounded by the bytes actually left before anything is
+    // allocated for it: a damaged header cannot claim 4 GiB.
+    if u64::from(len) > remaining - FRAME_HEADER as u64 {
+        return Ok(None);
+    }
+    payload.resize(len as usize, 0);
+    r.read_exact(payload)?;
+    if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+        return Ok(None);
+    }
+    Ok(decode_payload(payload))
 }
 
 // ---- the writer ---------------------------------------------------------
@@ -943,8 +1115,14 @@ pub struct Wal {
 
 impl Wal {
     /// Opens `path`, recovering (and physically truncating) a torn tail,
-    /// or creates a fresh log when the file is missing or empty. Returns
-    /// the parsed prefix when an existing log was recovered.
+    /// or creates a fresh log when the file is missing, empty, or holds
+    /// only a prefix of the magic (a crash between create and the magic
+    /// write). Returns the parsed prefix when an existing log was
+    /// recovered; the file is streamed, never read whole.
+    ///
+    /// # Errors
+    /// [`WalError::BadMagic`] when the file holds anything else that is
+    /// not an `INCSWAL1` log; [`WalError::Io`] on I/O failure.
     pub fn open_or_create(path: &Path) -> Result<(Wal, Option<RecoveredLog>), WalError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -952,39 +1130,39 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
+        let total = file.metadata()?.len();
+        let recovered = if total < MAGIC.len() as u64 {
+            let mut head = [0u8; MAGIC.len()];
+            let head = &mut head[..total as usize];
+            file.read_exact(head)?;
+            if head != &MAGIC[..head.len()] {
+                return Err(WalError::BadMagic);
+            }
+            file.seek(SeekFrom::Start(0))?;
             file.write_all(MAGIC)?;
             file.flush()?;
-            return Ok((
-                Wal {
-                    file,
-                    path: path.to_path_buf(),
-                    len: MAGIC.len() as u64,
-                    next_seq: 1,
-                    appends: 0,
-                    checkpoints: 0,
-                },
-                None,
-            ));
-        }
-        let log = read_records(&bytes)?;
-        if log.valid_bytes < bytes.len() as u64 {
-            file.set_len(log.valid_bytes)?;
-        }
-        file.seek(SeekFrom::Start(log.valid_bytes))?;
-        let next_seq = log.last_seq() + 1;
+            None
+        } else {
+            let log = read_frames(BufReader::new(&file), total)?;
+            if log.valid_bytes < total {
+                file.set_len(log.valid_bytes)?;
+            }
+            file.seek(SeekFrom::Start(log.valid_bytes))?;
+            Some(log)
+        };
+        let (len, next_seq) = recovered.as_ref().map_or((MAGIC.len() as u64, 1), |log| {
+            (log.valid_bytes, log.last_seq() + 1)
+        });
         Ok((
             Wal {
                 file,
                 path: path.to_path_buf(),
-                len: log.valid_bytes,
+                len,
                 next_seq,
                 appends: 0,
                 checkpoints: 0,
             },
-            Some(log),
+            recovered,
         ))
     }
 
@@ -1034,7 +1212,7 @@ impl Wal {
         let first = self.next_seq;
         let mut buf = Vec::with_capacity(ops.len() * (FRAME_HEADER + 18));
         for (k, &op) in ops.iter().enumerate() {
-            encode_frame(&mut buf, &encode_op_payload(first + k as u64, op));
+            codec::put_frame_with(&mut buf, |p| encode_op_into(p, first + k as u64, op))?;
         }
         self.append_frames(&buf)?;
         self.next_seq += ops.len() as u64;
@@ -1046,7 +1224,7 @@ impl Wal {
     pub fn append_add_node(&mut self) -> Result<u64, WalError> {
         let seq = self.next_seq;
         let mut buf = Vec::new();
-        encode_frame(&mut buf, &encode_add_node_payload(seq));
+        codec::put_frame_with(&mut buf, |p| encode_add_node_into(p, seq))?;
         self.append_frames(&buf)?;
         self.next_seq += 1;
         self.appends += 1;
@@ -1057,7 +1235,7 @@ impl Wal {
     /// where durability is forced down to the device.
     pub fn append_checkpoint(&mut self, cp: &CheckpointRecord) -> Result<(), WalError> {
         let mut buf = Vec::new();
-        encode_frame(&mut buf, &encode_checkpoint_payload(cp));
+        codec::put_frame_with(&mut buf, |p| encode_checkpoint_into(p, cp))?;
         self.append_frames(&buf)?;
         self.file.sync_data()?;
         self.checkpoints += 1;
@@ -1077,9 +1255,9 @@ impl Wal {
     ) -> Result<(), WalError> {
         let mut buf = Vec::new();
         for d in deltas {
-            encode_frame(&mut buf, &encode_epoch_delta_payload(d));
+            codec::put_frame_with(&mut buf, |p| encode_epoch_delta_into(p, d))?;
         }
-        encode_frame(&mut buf, &encode_epoch_meta_payload(meta));
+        codec::put_frame_with(&mut buf, |p| encode_epoch_meta_into(p, meta))?;
         self.append_frames(&buf)?;
         self.file.sync_data()?;
         Ok(())
@@ -1238,6 +1416,11 @@ mod tests {
 
     fn fixture() -> DiGraph {
         DiGraph::from_edges(6, &[(0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+    }
+
+    /// Appends one hand-crafted frame, its payload written by `write`.
+    fn frame(bytes: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+        codec::put_frame_with(bytes, write).unwrap();
     }
 
     #[test]
@@ -1588,7 +1771,7 @@ mod tests {
         let (deltas, meta) = sample_ring(5);
         let mut bytes = MAGIC.to_vec();
         for d in &deltas {
-            encode_frame(&mut bytes, &encode_epoch_delta_payload(d));
+            frame(&mut bytes, |p| encode_epoch_delta_into(p, d));
         }
         let log = read_records(&bytes).unwrap();
         assert!(log.newest_epoch_ring().is_none());
@@ -1596,17 +1779,17 @@ mod tests {
 
         // Meta present but one delta frame short: rejected too.
         let mut bytes = MAGIC.to_vec();
-        encode_frame(&mut bytes, &encode_epoch_delta_payload(&deltas[0]));
-        encode_frame(&mut bytes, &encode_epoch_meta_payload(&meta));
+        frame(&mut bytes, |p| encode_epoch_delta_into(p, &deltas[0]));
+        frame(&mut bytes, |p| encode_epoch_meta_into(p, &meta));
         let log = read_records(&bytes).unwrap();
         assert!(log.newest_epoch_ring().is_none());
 
         // The full round is accepted.
         let mut bytes = MAGIC.to_vec();
         for d in &deltas {
-            encode_frame(&mut bytes, &encode_epoch_delta_payload(d));
+            frame(&mut bytes, |p| encode_epoch_delta_into(p, d));
         }
-        encode_frame(&mut bytes, &encode_epoch_meta_payload(&meta));
+        frame(&mut bytes, |p| encode_epoch_meta_into(p, &meta));
         let log = read_records(&bytes).unwrap();
         assert!(log.newest_epoch_ring().is_some());
     }
@@ -1626,7 +1809,8 @@ mod tests {
             seq: 0,
             image: checkpoint_image_for(&mut sim),
         };
-        let v2 = encode_checkpoint_payload(&cp);
+        let mut v2 = Vec::new();
+        encode_checkpoint_into(&mut v2, &cp);
         assert_eq!(v2[0], TAG_CHECKPOINT2);
         assert_eq!(v2[1], RECORD_VERSION);
         // A v1 payload is the v2 payload with tag 3 and no version byte.
@@ -1634,7 +1818,7 @@ mod tests {
         v1.extend_from_slice(&v2[2..]);
 
         let mut bytes = MAGIC.to_vec();
-        encode_frame(&mut bytes, &v1);
+        frame(&mut bytes, |p| p.extend_from_slice(&v1));
         let log = read_records(&bytes).unwrap();
         assert!(!log.torn);
         let got = log.newest_checkpoint(None).expect("v1 checkpoint decodes");
@@ -1644,5 +1828,341 @@ mod tests {
         // And a v1 log has no epoch frames: history is simply absent.
         assert!(!log.has_epoch_frames());
         assert!(log.newest_epoch_ring().is_none());
+    }
+    #[test]
+    fn frames_match_the_tag_table() {
+        let path = tmp("layout");
+        let _ = std::fs::remove_file(&path);
+        let (mut wal, _) = Wal::open_or_create(&path).unwrap();
+        let config = cfg();
+        wal.append_checkpoint(&CheckpointRecord {
+            shard: Some(1),
+            shard_count: 2,
+            block: 3,
+            seq: 7,
+            image: CheckpointImage::GraphOnly {
+                config,
+                graph: DiGraph::from_edges(2, &[(0, 1)]),
+            },
+        })
+        .unwrap();
+        let delta = EpochDeltaRecord {
+            cp_seq: 7,
+            seq: 2,
+            stamp: 5,
+            at_op: 6,
+            n: 300,
+            shards: vec![
+                ShardDeltaImage::Dense(sample_delta(4)),
+                ShardDeltaImage::Replay,
+                ShardDeltaImage::Broken,
+            ],
+            ops: vec![
+                ReplayOp::Edge(UpdateOp::Insert(1, 200)),
+                ReplayOp::Edge(UpdateOp::Delete(0, 1)),
+                ReplayOp::AddNode,
+            ],
+        };
+        let (_, mut meta) = sample_ring(7);
+        meta.entries = 1;
+        wal.append_epoch_ring(std::slice::from_ref(&delta), &meta)
+            .unwrap();
+        drop(wal);
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+
+        let framed = |payload: Vec<u8>| {
+            let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+            f.extend(crc32(&payload).to_le_bytes());
+            f.extend(payload);
+            f
+        };
+        // Tag 4: version, shard u32, shard_count u32, block u64, seq u64,
+        // image_kind u8, image_len u64, then a graph-only image: c f64,
+        // iterations u64, zero_tol f64, n u64, m u64, one packed u64 edge.
+        let mut cp = vec![4, 1];
+        cp.extend(1u32.to_le_bytes());
+        cp.extend(2u32.to_le_bytes());
+        cp.extend(3u64.to_le_bytes());
+        cp.extend(7u64.to_le_bytes());
+        cp.push(0);
+        cp.extend(48u64.to_le_bytes());
+        cp.extend(0.6f64.to_le_bytes());
+        cp.extend(20u64.to_le_bytes());
+        cp.extend(config.zero_tol.to_le_bytes());
+        cp.extend(2u64.to_le_bytes());
+        cp.extend(1u64.to_le_bytes());
+        // Edge 0 → 1, packed as (u << 32) | v.
+        cp.extend(1u64.to_le_bytes());
+        // Tag 6: version, cp_seq u64, seq u64, stamp u64, at_op u64, then
+        // varints: n = 300, 3 shard images (dense factors, replay,
+        // broken), 3 ops (insert 1→200, delete 0→1, add node).
+        let mut ep = vec![6, 1];
+        for v in [7u64, 2, 5, 6] {
+            ep.extend(v.to_le_bytes());
+        }
+        ep.extend([0xAC, 0x02, 3, 0]);
+        ep.extend(sample_delta(4).encode());
+        ep.extend([1, 2, 3, 0, 1, 0xC8, 0x01, 1, 0, 1, 2]);
+
+        let want = [MAGIC.to_vec(), framed(cp), framed(ep)].concat();
+        assert_eq!(bytes[..want.len()], want[..]);
+    }
+
+    #[test]
+    fn log_torn_inside_its_magic_reopens_fresh() {
+        let path = tmp("torn_magic");
+        let builder = SimRankBuilder::new().config(cfg()).wal(&path);
+        // A crash between create and the magic write leaves a prefix of it.
+        std::fs::write(&path, &MAGIC[..4]).unwrap();
+        let mut srv = builder.clone().build_sharded(fixture()).unwrap();
+        srv.update(UpdateOp::Insert(0, 4)).unwrap();
+        drop(srv);
+        let log = read_log(&path).unwrap();
+        assert!(!log.torn);
+        assert_eq!(log.newest_checkpoint(None).map(|cp| cp.seq), Some(0));
+        assert_eq!(log.op_count(), 1);
+
+        // Any other short or mismatched header is still not a log.
+        for header in [&b"INCX"[..], b"WAL", b"INCSWAL2"] {
+            std::fs::write(&path, header).unwrap();
+            let err = builder.clone().build_sharded(fixture()).err();
+            assert!(
+                matches!(&err, Some(BuildError::Wal(e)) if matches!(**e, WalError::BadMagic)),
+                "{header:?} opened as a log: {err:?}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn oversized_frame_length_reads_as_a_torn_tail() {
+        let mut bytes = MAGIC.to_vec();
+        frame(&mut bytes, |p| encode_op_into(p, 1, UpdateOp::Insert(0, 1)));
+        let at = bytes.len();
+        put_u32(&mut bytes, u32::MAX);
+        put_u32(&mut bytes, 0);
+        bytes.extend([0; 16]);
+        let log = read_records(&bytes).unwrap();
+        assert!(log.torn);
+        assert_eq!(log.valid_bytes, at as u64);
+        assert_eq!(log.op_count(), 1);
+
+        // The writer's reopen cuts the file back to the same offset.
+        let path = tmp("oversized");
+        std::fs::write(&path, &bytes).unwrap();
+        let (wal, recovered) = Wal::open_or_create(&path).unwrap();
+        assert_eq!(recovered.map(|l| l.valid_bytes), Some(at as u64));
+        assert_eq!(wal.next_seq(), 2);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), at as u64);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Non-op records a log of `rounds` checkpoint rounds retains: each
+    /// round is an op, a checkpoint per shard and a two-entry ring.
+    fn retained_non_ops(rounds: u64) -> usize {
+        let path = tmp(&format!("rounds_{rounds}"));
+        let _ = std::fs::remove_file(&path);
+        let (mut wal, _) = Wal::open_or_create(&path).unwrap();
+        let checkpoint = |shard, seq| CheckpointRecord {
+            shard,
+            shard_count: 2,
+            block: 3,
+            seq,
+            image: CheckpointImage::GraphOnly {
+                config: cfg(),
+                graph: fixture(),
+            },
+        };
+        wal.append_checkpoint(&checkpoint(None, 0)).unwrap();
+        for _ in 0..rounds {
+            let seq = wal.append_ops(&[UpdateOp::Insert(0, 1)]).unwrap();
+            for s in 0..2 {
+                wal.append_checkpoint(&checkpoint(Some(s), seq)).unwrap();
+            }
+            let (deltas, meta) = sample_ring(seq);
+            wal.append_epoch_ring(&deltas, &meta).unwrap();
+        }
+        drop(wal);
+        let log = read_log(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(log.op_count() as u64, rounds);
+        assert!(log.newest_epoch_ring().is_some());
+        log.records.len() - log.op_count()
+    }
+
+    #[test]
+    fn retained_records_do_not_grow_with_rounds() {
+        assert!(retained_non_ops(40) <= retained_non_ops(3));
+    }
+
+    /// Parses `bytes` keeping every decoded record: the reference the
+    /// streaming reader's retention must agree with.
+    fn read_all(bytes: &[u8]) -> RecoveredLog {
+        let mut records = Vec::new();
+        let mut pos = MAGIC.len();
+        while let Some((payload, next)) = codec::frame_at(bytes, pos) {
+            let Some(rec) = decode_payload(payload) else {
+                break;
+            };
+            records.push(rec);
+            pos = next;
+        }
+        RecoveredLog {
+            records,
+            torn: pos < bytes.len(),
+            valid_bytes: pos as u64,
+        }
+    }
+
+    /// Everything recovery asks of a log, as one comparable value.
+    #[derive(Debug, PartialEq)]
+    struct Answers {
+        torn: bool,
+        valid_bytes: u64,
+        last_seq: u64,
+        op_count: usize,
+        has_epoch_frames: bool,
+        /// Encoded newest checkpoint for the global base, then each shard.
+        newest: Vec<Option<Vec<u8>>>,
+        /// Meta `cp_seq`, `head_seq`, `entries` and the delta seqs.
+        ring: Option<(u64, u64, usize, Vec<u64>)>,
+        floor: u64,
+        /// Encoded checkpoint per shard at the ring's `cp_seq`.
+        ring_images: Vec<Option<Vec<u8>>>,
+        ops: Vec<ReplayEntry>,
+    }
+
+    fn answers(log: &RecoveredLog, shards: u32) -> Answers {
+        let encoded = |cp: Option<&CheckpointRecord>| {
+            cp.map(|cp| {
+                let mut p = Vec::new();
+                encode_checkpoint_into(&mut p, cp);
+                p
+            })
+        };
+        let ring = log.newest_epoch_ring();
+        Answers {
+            torn: log.torn,
+            valid_bytes: log.valid_bytes,
+            last_seq: log.last_seq(),
+            op_count: log.op_count(),
+            has_epoch_frames: log.has_epoch_frames(),
+            newest: std::iter::once(None)
+                .chain((0..shards).map(Some))
+                .map(|key| encoded(log.newest_checkpoint(key)))
+                .collect(),
+            ring: ring.as_ref().map(|(m, ds)| {
+                (
+                    m.cp_seq,
+                    m.head_seq,
+                    m.entries,
+                    ds.iter().map(|d| d.seq).collect(),
+                )
+            }),
+            floor: log.history_floor(),
+            ring_images: ring.map_or_else(Vec::new, |(m, _)| {
+                (0..shards)
+                    .map(|s| encoded(log.checkpoint_at(Some(s), m.cp_seq)))
+                    .collect()
+            }),
+            ops: log.ops_after(0).collect(),
+        }
+    }
+
+    /// A retained durable log: a ring round every 4 ops, a publish every
+    /// 2, and one injected apply panic whose shard rebuild writes a
+    /// second round at the same `cp_seq`.
+    fn retained_log(shards: usize) -> Vec<u8> {
+        use crate::datagen::{er::erdos_renyi, updates::random_mixed};
+        use crate::serve::ServeError;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5EED + shards as u64);
+        let graph = erdos_renyi(10, 24, &mut rng);
+        let ops = random_mixed(&graph, 30, 0.7, &mut rng);
+        let path = tmp(&format!("retained_{shards}"));
+        let _ = std::fs::remove_file(&path);
+        let fault = faults::ApplyFaults::panic_at_op(17);
+        let mut srv = SimRankBuilder::new()
+            .config(cfg())
+            .algorithm(EngineKind::IncSr)
+            .mode(ApplyPolicy::Eager)
+            .shards(shards)
+            .retain_epochs(3)
+            .checkpoint_every(4)
+            .fault_injection(fault.clone())
+            .wal(&path)
+            .concurrent(graph)
+            .unwrap();
+        let mut rebuilds = 0;
+        for (i, &op) in ops.iter().enumerate() {
+            match srv.update(op) {
+                Ok(_) => {}
+                Err(ServeError::ShardPanicked { shard, .. }) => {
+                    srv.rebuild_shard(shard).unwrap();
+                    rebuilds += 1;
+                }
+                Err(e) => panic!("update {i} failed: {e}"),
+            }
+            if i % 2 == 1 {
+                srv.publish();
+            }
+        }
+        assert!(fault.exhausted() && rebuilds == 1);
+        drop(srv);
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
+    }
+
+    #[test]
+    fn streaming_reader_agrees_with_a_full_decode() {
+        for shards in [1u32, 2] {
+            let bytes = retained_log(shards as usize);
+            let full = read_all(&bytes);
+            assert!(full.newest_epoch_ring().is_some());
+            assert!(read_records(&bytes).unwrap().records.len() < full.records.len());
+
+            let check = |image: &[u8], what: &str| {
+                let got = answers(&read_records(image).unwrap(), shards);
+                assert_eq!(
+                    got,
+                    answers(&read_all(image), shards),
+                    "{shards} shard(s), {what}"
+                );
+            };
+            let offsets = frame_offsets(&bytes);
+            for &cut in &offsets {
+                check(&bytes[..cut], &format!("cut at frame boundary {cut}"));
+            }
+            for w in offsets.windows(2) {
+                let cut = (w[0] + w[1]) / 2;
+                check(&bytes[..cut], &format!("cut mid-frame at {cut}"));
+            }
+            let mut damaged_frames = 0;
+            for (off, kind) in frame_kinds(&bytes) {
+                if !matches!(kind, FrameKind::EpochDelta | FrameKind::EpochMeta) {
+                    continue;
+                }
+                let mut damaged = bytes.clone();
+                let len = u32::from_le_bytes(damaged[off..off + 4].try_into().unwrap()) as usize;
+                let payload = off + FRAME_HEADER..off + FRAME_HEADER + len;
+                damaged[payload.start + 1] = 99; // envelope version byte
+                let crc = crc32(&damaged[payload]);
+                damaged[off + 4..off + 8].copy_from_slice(&crc.to_le_bytes());
+                check(
+                    &damaged,
+                    &format!("{kind:?} frame at {off} version-damaged"),
+                );
+                let cut = off + FRAME_HEADER + len;
+                check(
+                    &damaged[..cut],
+                    &format!("log cut after damaged frame at {off}"),
+                );
+                damaged_frames += 1;
+            }
+            assert!(damaged_frames > 10, "fixture lost its epoch frames");
+        }
     }
 }
