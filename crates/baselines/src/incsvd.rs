@@ -39,6 +39,7 @@ use incsim_linalg::svd::{jacobi_svd, truncated_svd};
 use incsim_linalg::{DenseMatrix, LinalgError, Svd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Errors specific to the Inc-SVD pipeline.
 #[derive(Debug)]
@@ -213,7 +214,9 @@ pub struct IncSvd {
     u: DenseMatrix,
     sigma: Vec<f64>,
     v: DenseMatrix,
-    scores: DenseMatrix,
+    // Every score rebuild replaces the buffer outright, so snapshots
+    // sharing the old one never force a copy.
+    scores: Arc<DenseMatrix>,
     rng: StdRng,
 }
 
@@ -239,7 +242,7 @@ impl IncSvd {
             u: svd.u,
             sigma: svd.s,
             v: svd.v,
-            scores,
+            scores: Arc::new(scores),
             rng,
         })
     }
@@ -272,7 +275,11 @@ impl IncSvd {
         self.u = svd.u;
         self.sigma = svd.s;
         self.v = svd.v;
-        self.scores = svd_simrank(&self.factors(), self.cfg.c, self.opts.memory_budget_bytes)?;
+        self.scores = Arc::new(svd_simrank(
+            &self.factors(),
+            self.cfg.c,
+            self.opts.memory_budget_bytes,
+        )?);
         Ok(())
     }
 
@@ -312,8 +319,10 @@ impl IncSvd {
 
         // Recompute all scores from the updated factors (the expensive
         // tensor-product step the paper's Exp-1 measures).
-        self.scores = svd_simrank(&self.factors(), self.cfg.c, self.opts.memory_budget_bytes)
-            .map_err(UpdateError::from)?;
+        self.scores = Arc::new(
+            svd_simrank(&self.factors(), self.cfg.c, self.opts.memory_budget_bytes)
+                .map_err(UpdateError::from)?,
+        );
 
         match kind {
             UpdateKind::Insert => self.graph.insert_edge(i, j)?,
@@ -346,7 +355,7 @@ impl IncSvd {
 }
 
 impl MatrixAccess for IncSvd {
-    fn base_scores(&self) -> &DenseMatrix {
+    fn base_scores(&self) -> &Arc<DenseMatrix> {
         &self.scores
     }
 }
@@ -402,7 +411,7 @@ impl GraphSink for IncSvd {
             scores.row_mut(a)[..n - 1].copy_from_slice(self.scores.row(a));
         }
         scores.set(n - 1, n - 1, 1.0 - self.cfg.c);
-        self.scores = scores;
+        self.scores = Arc::new(scores);
         vnew
     }
 }

@@ -21,6 +21,7 @@ use incsim_core::{
 };
 use incsim_graph::DiGraph;
 use incsim_linalg::DenseMatrix;
+use std::sync::Arc;
 
 /// The recompute-from-scratch engine. See the [module docs](self).
 ///
@@ -36,16 +37,20 @@ use incsim_linalg::DenseMatrix;
 /// ```
 pub struct BatchRecompute {
     graph: DiGraph,
-    scores: DenseMatrix,
+    // Every recompute replaces the buffer outright, so snapshots sharing
+    // the old one never force a copy.
+    scores: Arc<DenseMatrix>,
     cfg: SimRankConfig,
 }
 
 impl BatchRecompute {
-    /// Creates the engine from a graph and its (pre-computed) score matrix.
+    /// Creates the engine from a graph and its (pre-computed) score matrix,
+    /// owned or shared.
     ///
     /// # Panics
     /// Panics if `scores` is not `n × n` for the graph's `n`.
-    pub fn new(graph: DiGraph, scores: DenseMatrix, cfg: SimRankConfig) -> Self {
+    pub fn new(graph: DiGraph, scores: impl Into<Arc<DenseMatrix>>, cfg: SimRankConfig) -> Self {
+        let scores = scores.into();
         let n = graph.node_count();
         assert_eq!(scores.rows(), n, "scores must be n x n");
         assert_eq!(scores.cols(), n, "scores must be n x n");
@@ -60,7 +65,7 @@ impl BatchRecompute {
 
     /// Consumes the engine, returning `(graph, scores)`.
     pub fn into_parts(self) -> (DiGraph, DenseMatrix) {
-        (self.graph, self.scores)
+        (self.graph, Arc::unwrap_or_clone(self.scores))
     }
 
     fn apply_update(
@@ -74,7 +79,7 @@ impl BatchRecompute {
             UpdateKind::Insert => self.graph.insert_edge(i, j)?,
             UpdateKind::Delete => self.graph.remove_edge(i, j)?,
         }
-        self.scores = batch_simrank(&self.graph, &self.cfg);
+        self.scores = Arc::new(batch_simrank(&self.graph, &self.cfg));
         let n = self.graph.node_count();
         Ok(UpdateStats {
             kind,
@@ -94,7 +99,7 @@ impl BatchRecompute {
 }
 
 impl MatrixAccess for BatchRecompute {
-    fn base_scores(&self) -> &DenseMatrix {
+    fn base_scores(&self) -> &Arc<DenseMatrix> {
         &self.scores
     }
 }
@@ -132,7 +137,7 @@ impl GraphSink for BatchRecompute {
 
     fn add_node(&mut self) -> u32 {
         let v = self.graph.add_node();
-        self.scores = batch_simrank(&self.graph, &self.cfg);
+        self.scores = Arc::new(batch_simrank(&self.graph, &self.cfg));
         v
     }
 }

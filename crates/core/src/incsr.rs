@@ -26,6 +26,7 @@ use crate::rankone::{rank_one_decomposition, RankOneUpdate, UpdateKind};
 use crate::SimRankConfig;
 use incsim_graph::{DiGraph, UpdateOp};
 use incsim_linalg::{DenseMatrix, LowRankDelta, SparseAccumulator};
+use std::sync::Arc;
 
 /// The Algorithm 2 engine. See the [module docs](self).
 ///
@@ -42,7 +43,9 @@ use incsim_linalg::{DenseMatrix, LowRankDelta, SparseAccumulator};
 /// ```
 pub struct IncSr {
     graph: DiGraph,
-    scores: DenseMatrix,
+    // Shared with every snapshot taken since the last write (see
+    // `MatrixAccess`); writes go through `Arc::make_mut`.
+    scores: Arc<DenseMatrix>,
     cfg: SimRankConfig,
     // Apply mode + pending ΔS as *sparse* factor columns (fused/lazy).
     deferred: DeferredApply,
@@ -62,11 +65,13 @@ pub struct IncSr {
 }
 
 impl IncSr {
-    /// Creates an engine from a graph and its (pre-computed) score matrix.
+    /// Creates an engine from a graph and its (pre-computed) score matrix,
+    /// owned or shared (a shared matrix is copied on the first write).
     ///
     /// # Panics
     /// Panics if `scores` is not `n × n` for the graph's `n`.
-    pub fn new(graph: DiGraph, scores: DenseMatrix, cfg: SimRankConfig) -> Self {
+    pub fn new(graph: DiGraph, scores: impl Into<Arc<DenseMatrix>>, cfg: SimRankConfig) -> Self {
+        let scores = scores.into();
         let n = graph.node_count();
         assert_eq!(scores.rows(), n, "scores must be n x n");
         assert_eq!(scores.cols(), n, "scores must be n x n");
@@ -97,7 +102,7 @@ impl IncSr {
     /// ΔS materialised.
     pub fn into_parts(mut self) -> (DiGraph, DenseMatrix) {
         self.flush();
-        (self.graph, self.scores)
+        (self.graph, Arc::unwrap_or_clone(self.scores))
     }
 
     /// Stages the effective rows `S[i,:]` and `S[j,:]` (base + pending Δ)
@@ -253,11 +258,12 @@ impl IncSr {
                 .push_sparse(self.xi.to_pairs(0.0), self.eta.to_pairs(0.0));
             return;
         }
+        let scores = Arc::make_mut(&mut self.scores);
         for (a, xa) in self.xi.iter() {
             if xa == 0.0 {
                 continue;
             }
-            let row = self.scores.row_mut(a as usize);
+            let row = scores.row_mut(a as usize);
             for (b, yb) in self.eta.iter() {
                 row[b as usize] += xa * yb;
             }
@@ -266,7 +272,7 @@ impl IncSr {
             if yb == 0.0 {
                 continue;
             }
-            let row = self.scores.row_mut(b as usize);
+            let row = scores.row_mut(b as usize);
             for (a, xa) in self.xi.iter() {
                 row[a as usize] += xa * yb;
             }
@@ -439,7 +445,7 @@ impl IncSr {
 }
 
 impl MatrixAccess for IncSr {
-    fn base_scores(&self) -> &DenseMatrix {
+    fn base_scores(&self) -> &Arc<DenseMatrix> {
         &self.scores
     }
 
@@ -534,7 +540,7 @@ impl GraphSink for IncSr {
             grown.row_mut(a)[..n - 1].copy_from_slice(src);
         }
         grown.set(n - 1, n - 1, 1.0 - self.cfg.c);
-        self.scores = grown;
+        self.scores = Arc::new(grown);
         self.xi = SparseAccumulator::new(n);
         self.eta = SparseAccumulator::new(n);
         self.xi_next = SparseAccumulator::new(n);

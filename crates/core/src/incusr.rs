@@ -25,6 +25,7 @@ use crate::SimRankConfig;
 use incsim_graph::transition::backward_transition;
 use incsim_graph::{DiGraph, UpdateOp};
 use incsim_linalg::{CsrMatrix, DenseMatrix, LowRankDelta};
+use std::sync::Arc;
 
 /// The Algorithm 1 engine. See the [module docs](self).
 ///
@@ -41,7 +42,9 @@ use incsim_linalg::{CsrMatrix, DenseMatrix, LowRankDelta};
 pub struct IncUSr {
     graph: DiGraph,
     q: CsrMatrix,
-    scores: DenseMatrix,
+    // Shared with every snapshot taken since the last write (see
+    // `MatrixAccess`); writes go through `Arc::make_mut`.
+    scores: Arc<DenseMatrix>,
     cfg: SimRankConfig,
     // Apply mode + pending ΔS factors (empty while eager).
     deferred: DeferredApply,
@@ -55,7 +58,8 @@ pub struct IncUSr {
 }
 
 impl IncUSr {
-    /// Creates an engine from a graph and its (pre-computed) score matrix.
+    /// Creates an engine from a graph and its (pre-computed) score matrix,
+    /// owned or shared (a shared matrix is copied on the first write).
     ///
     /// `scores` is typically [`crate::batch_simrank`] output on `graph`; the
     /// paper's workflow is "precompute SimRank on the old entire graph once
@@ -63,7 +67,8 @@ impl IncUSr {
     ///
     /// # Panics
     /// Panics if `scores` is not `n × n` for the graph's `n`.
-    pub fn new(graph: DiGraph, scores: DenseMatrix, cfg: SimRankConfig) -> Self {
+    pub fn new(graph: DiGraph, scores: impl Into<Arc<DenseMatrix>>, cfg: SimRankConfig) -> Self {
+        let scores = scores.into();
         let n = graph.node_count();
         assert_eq!(scores.rows(), n, "scores must be n x n");
         assert_eq!(scores.cols(), n, "scores must be n x n");
@@ -92,7 +97,7 @@ impl IncUSr {
     /// ΔS materialised.
     pub fn into_parts(mut self) -> (DiGraph, DenseMatrix) {
         self.flush();
-        (self.graph, self.scores)
+        (self.graph, Arc::unwrap_or_clone(self.scores))
     }
 
     /// Folds the current `ξ·ηᵀ + η·ξᵀ` term into the scores (eager) or the
@@ -100,7 +105,9 @@ impl IncUSr {
     /// either way, so the regimes agree bit-for-bit.
     fn emit_term(&mut self) {
         match self.deferred.mode {
-            ApplyMode::Eager => self.scores.add_sym_outer(1.0, &self.xi, &self.eta),
+            ApplyMode::Eager => {
+                Arc::make_mut(&mut self.scores).add_sym_outer(1.0, &self.xi, &self.eta);
+            }
             ApplyMode::Fused | ApplyMode::Lazy => self
                 .deferred
                 .delta
@@ -250,7 +257,7 @@ impl IncUSr {
 }
 
 impl MatrixAccess for IncUSr {
-    fn base_scores(&self) -> &DenseMatrix {
+    fn base_scores(&self) -> &Arc<DenseMatrix> {
         &self.scores
     }
 
@@ -346,7 +353,7 @@ impl GraphSink for IncUSr {
             grown.row_mut(a)[..n - 1].copy_from_slice(src);
         }
         grown.set(n - 1, n - 1, 1.0 - self.cfg.c);
-        self.scores = grown;
+        self.scores = Arc::new(grown);
         self.q = backward_transition(&self.graph);
         self.xi = vec![0.0; n];
         self.eta = vec![0.0; n];

@@ -4,6 +4,7 @@ use crate::query::{RankedNode, ScoreSnapshot, ScoreView, SnapshotQuery};
 use crate::rankone::UpdateKind;
 use incsim_graph::{DiGraph, GraphError, UpdateOp};
 use incsim_linalg::{DenseMatrix, LowRankDelta, Recompression};
+use std::sync::Arc;
 
 use crate::SimRankConfig;
 
@@ -33,6 +34,11 @@ pub enum ApplyMode {
 /// [`ApplyMode`] ([`crate::IncSr`], [`crate::IncUSr`]): the current mode
 /// plus the pending factor buffer. Centralising it here keeps the
 /// mode/flush semantics of the two engines from drifting apart.
+///
+/// The helpers take the engine's shared score buffer and call
+/// [`Arc::make_mut`] only when they actually fold factors into it, so a
+/// published snapshot keeps sharing the buffer through every call that
+/// has nothing to fold.
 #[derive(Debug, Clone)]
 pub(crate) struct DeferredApply {
     pub mode: ApplyMode,
@@ -48,17 +54,21 @@ impl DeferredApply {
     }
 
     /// Folds all pending factors into `scores` (one fused sweep); returns
-    /// the number of rank-two terms applied.
-    pub fn flush_into(&mut self, scores: &mut DenseMatrix) -> usize {
+    /// the number of rank-two terms applied. With nothing pending the
+    /// buffer is left untouched, and so stays shared.
+    pub fn flush_into(&mut self, scores: &mut Arc<DenseMatrix>) -> usize {
+        if self.delta.is_empty() {
+            return 0;
+        }
         let pairs = self.delta.pending_pairs();
-        self.delta.apply_to(scores);
+        self.delta.apply_to(Arc::make_mut(scores));
         pairs
     }
 
     /// Switches the mode. Materialises pending ΔS only when the mode
     /// actually changes, so re-asserting the current mode (as the adaptive
     /// policy does every update) never cuts a lazy window short.
-    pub fn set_mode(&mut self, mode: ApplyMode, scores: &mut DenseMatrix) {
+    pub fn set_mode(&mut self, mode: ApplyMode, scores: &mut Arc<DenseMatrix>) {
         if self.mode != mode {
             self.flush_into(scores);
             self.mode = mode;
@@ -79,7 +89,7 @@ impl DeferredApply {
     /// first — unconditionally, in every build profile. A `debug_assert!`
     /// here used to vanish in release builds and silently drop an
     /// un-flushed Δ. Returns the number of rank-two terms flushed.
-    pub fn resize(&mut self, n: usize, old_scores: &mut DenseMatrix) -> usize {
+    pub fn resize(&mut self, n: usize, old_scores: &mut Arc<DenseMatrix>) -> usize {
         let flushed = self.flush_into(old_scores);
         self.delta = LowRankDelta::new(n);
         flushed
@@ -323,12 +333,24 @@ pub trait TopKQuery {
 /// [`Self::base_scores`] exposes the raw base matrix (excluding pending
 /// ΔS) for diagnostics and zero-copy internal reads; treat anything it
 /// returns mid-lazy-window as stale by construction.
+///
+/// ## Shared base buffer
+///
+/// Every matrix engine keeps its base matrix in an `Arc`, which
+/// [`Self::base_scores`] exposes. A [`Self::snapshot_view`] clones that
+/// pointer instead of the `n²` entries, so a snapshot shares the
+/// engine's buffer until the engine next writes to it; the write then
+/// copies the matrix first ([`Arc::make_mut`]) and the snapshot keeps
+/// the old one. Calls with nothing to write — reads, re-asserting the
+/// current mode, flushing or compressing an empty buffer,
+/// [`Self::scores`] with nothing pending — leave the sharing intact.
 pub trait MatrixAccess {
     /// The maintained base score matrix **excluding** any pending deferred
-    /// ΔS. Identical to [`Self::scores`] outside lazy windows; inside one
-    /// it lags the true state — prefer [`Self::view`] or [`Self::scores`]
-    /// unless staleness is explicitly wanted.
-    fn base_scores(&self) -> &DenseMatrix;
+    /// ΔS, as the shared buffer that snapshots clone (see the
+    /// [trait docs](Self)). Identical to [`Self::scores`] outside lazy
+    /// windows; inside one it lags the true state — prefer [`Self::view`]
+    /// or [`Self::scores`] unless staleness is explicitly wanted.
+    fn base_scores(&self) -> &Arc<DenseMatrix>;
 
     /// The maintained score matrix (matrix-form SimRank of the current
     /// graph), **with any pending deferred ΔS materialised first** — this
@@ -347,13 +369,18 @@ pub trait MatrixAccess {
         ScoreView::new(self.base_scores(), self.pending_delta())
     }
 
-    /// An **owned** frozen copy of the current state (`S_base + Δ`) —
+    /// An **owned** frozen handle on the current state (`S_base + Δ`) —
     /// epoch material for concurrent serving. Unlike [`Self::view`] the
     /// result borrows nothing, so it can outlive any subsequent mutation
     /// of the engine; unlike [`Self::scores`] it needs only `&self` and
     /// never materialises the pending ΔS.
+    ///
+    /// Costs a pointer clone of the base plus a copy of the pending
+    /// factor columns: the snapshot shares the engine's base buffer until
+    /// the engine's next write, which copies the matrix before changing
+    /// it (see the [trait docs](Self)).
     fn snapshot_view(&self) -> ScoreSnapshot {
-        self.view().to_snapshot()
+        ScoreSnapshot::new(Arc::clone(self.base_scores()), self.view().delta().cloned())
     }
 
     /// The pending deferred-ΔS factor buffer, when the engine defers
@@ -468,11 +495,13 @@ pub trait SimRankMaintainer: GraphSink + PairQuery + SingleSourceQuery + TopKQue
 
     /// An **owned** frozen query surface over the current state — epoch
     /// material for concurrent serving, from *any* engine. Matrix
-    /// engines freeze `S_base + Δ` (the default); matrix-free engines
-    /// must override with their own walk-state snapshot.
-    fn snapshot_query(&self) -> std::sync::Arc<dyn SnapshotQuery> {
+    /// engines freeze `S_base + Δ` through
+    /// [`MatrixAccess::snapshot_view`] (the default), sharing the base
+    /// buffer until their next write; matrix-free engines must override
+    /// with their own walk-state snapshot.
+    fn snapshot_query(&self) -> Arc<dyn SnapshotQuery> {
         match self.matrix() {
-            Some(m) => std::sync::Arc::new(m.snapshot_view()),
+            Some(m) => Arc::new(m.snapshot_view()),
             // An engine must expose one of the two snapshot sources; this
             // is a contract violation in the engine, not a user error.
             None => panic!(

@@ -464,8 +464,9 @@ impl SimRankMaintainer for ProbeSim {
 
 /// A frozen probe-engine epoch: its own copy of the graph plus the
 /// sampling parameters — `O(n + m)` epoch material where a matrix
-/// engine's [`crate::ScoreSnapshot`] costs `n²`. Queries answer against
-/// the frozen topology forever, no matter how the live engine evolves.
+/// engine's [`crate::ScoreSnapshot`] keeps an `n²` matrix alive. Queries
+/// answer against the frozen topology forever, no matter how the live
+/// engine evolves.
 ///
 /// Reads are **idempotent**: the sampling substream is keyed by the
 /// query arguments (not a call counter), so the same question on the

@@ -20,6 +20,7 @@
 //! known to be fully materialised (e.g. decoded snapshots).
 
 use incsim_linalg::{DenseMatrix, LowRankDelta};
+use std::sync::Arc;
 
 /// A neighbor of the query node ranked by similarity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,36 +195,50 @@ impl<'a> ScoreView<'a> {
         }
         s
     }
-
-    /// An **owned** copy of this view — snapshot material for concurrent
-    /// serving: the result is `Clone + Send + Sync` and stays frozen at
-    /// the state observed now, no matter how the engine evolves after.
-    /// Costs one `n²` base copy plus the pending factor columns; the
-    /// deferred Δ is *not* materialised (reads through the snapshot keep
-    /// composing `S_base + Δ`, exactly like the live view).
-    pub fn to_snapshot(&self) -> ScoreSnapshot {
-        ScoreSnapshot {
-            base: self.base.clone(),
-            delta: self.delta.cloned(),
-        }
-    }
 }
 
 /// An owned, immutable `S_eff = S_base + Δ` snapshot — the epoch material
 /// of the concurrent serving layer (`incsim::serve`).
 ///
-/// Where [`ScoreView`] borrows live engine state, `ScoreSnapshot` *owns*
-/// a frozen copy: it is `Clone + Send + Sync`, can be parked behind an
-/// `Arc` and read from any number of threads while the engine that
-/// produced it keeps mutating. Query it through [`Self::view`], which
-/// yields a regular [`ScoreView`] over the frozen state.
+/// Where [`ScoreView`] borrows live engine state, `ScoreSnapshot` holds
+/// a reference-counted base matrix plus its own copy of the pending
+/// factors: it is `Clone + Send + Sync`, can be parked behind an `Arc`
+/// and read from any number of threads while the engine that produced
+/// it keeps mutating. Query it through [`Self::view`], which yields a
+/// regular [`ScoreView`] over the frozen state.
+///
+/// The base is never written through a snapshot. An engine's
+/// [`MatrixAccess::snapshot_view`](crate::MatrixAccess::snapshot_view)
+/// hands over the engine's own buffer, so the snapshot shares it until
+/// the engine's next write, which copies the matrix before changing it.
+///
+/// ```
+/// use incsim_core::ScoreSnapshot;
+/// use incsim_linalg::DenseMatrix;
+/// use std::sync::Arc;
+///
+/// let base = Arc::new(DenseMatrix::identity(3));
+/// let snap = ScoreSnapshot::new(Arc::clone(&base), None);
+/// assert_eq!(snap.pair(1, 1), 1.0);
+/// // Shares the buffer rather than copying it.
+/// assert!(std::ptr::eq(snap.view().base(), &*base));
+/// ```
 #[derive(Clone, Debug)]
 pub struct ScoreSnapshot {
-    base: DenseMatrix,
+    base: Arc<DenseMatrix>,
     delta: Option<LowRankDelta>,
 }
 
 impl ScoreSnapshot {
+    /// A snapshot over a shared base matrix plus an optional pending Δ
+    /// (an empty buffer is dropped, as in [`ScoreView::new`]).
+    pub fn new(base: Arc<DenseMatrix>, delta: Option<LowRankDelta>) -> Self {
+        ScoreSnapshot {
+            base,
+            delta: delta.filter(|d| !d.is_empty()),
+        }
+    }
+
     /// Node count `n` of the frozen `n × n` state.
     pub fn n(&self) -> usize {
         self.base.rows()
@@ -258,7 +273,9 @@ impl ScoreSnapshot {
         self.view().similar_above(a, threshold)
     }
 
-    /// Heap bytes held by the frozen state (base matrix + factor buffer).
+    /// Heap bytes this snapshot keeps alive: the whole base matrix, which
+    /// it may share with the engine (until the engine's next write) and
+    /// with other snapshots, plus its own factor buffer.
     pub fn heap_bytes(&self) -> usize {
         self.base.heap_bytes()
             + self
@@ -272,7 +289,8 @@ impl ScoreSnapshot {
 /// serving layer (`incsim::serve`) parks behind an epoch.
 ///
 /// Matrix engines implement it via [`ScoreSnapshot`] (a frozen
-/// `S_base + Δ` copy); matrix-free engines (the probe engine) implement
+/// `S_base + Δ` sharing the engine's base buffer until the engine's next
+/// write); matrix-free engines (the probe engine) implement
 /// it over a frozen graph copy plus their sampling parameters. Either
 /// way the object is `Send + Sync`, answers forever at the state
 /// observed when it was taken, and costs no `n²` memory unless the
@@ -326,7 +344,7 @@ pub trait SnapshotQuery: std::fmt::Debug + Send + Sync {
 /// were live.
 #[derive(Debug)]
 pub struct DeltaSnapshot {
-    base: std::sync::Arc<dyn SnapshotQuery>,
+    base: Arc<dyn SnapshotQuery>,
     delta: LowRankDelta,
     n: usize,
 }
@@ -338,7 +356,7 @@ impl DeltaSnapshot {
     /// # Panics
     /// Panics if the delta's dimension differs from the base view's `n`
     /// or `n` exceeds it.
-    pub fn new(base: std::sync::Arc<dyn SnapshotQuery>, delta: LowRankDelta, n: usize) -> Self {
+    pub fn new(base: Arc<dyn SnapshotQuery>, delta: LowRankDelta, n: usize) -> Self {
         assert_eq!(
             delta.dim(),
             base.n(),
@@ -534,15 +552,17 @@ mod tests {
         fn assert_send_sync_clone<T: Send + Sync + Clone>() {}
         assert_send_sync_clone::<ScoreSnapshot>();
 
-        let mut s = sample();
+        let mut s = Arc::new(sample());
         let mut delta = LowRankDelta::new(4);
         delta.push_dense(vec![0.5, 0.0, -1.0, 0.0], vec![0.0, 2.0, 0.0, 1.0]);
-        let snap = ScoreView::new(&s, Some(&delta)).to_snapshot();
+        let snap = ScoreSnapshot::new(Arc::clone(&s), Some(delta.clone()));
         assert_eq!(snap.n(), 4);
         assert!(snap.view().is_deferred(), "pending Δ travels with it");
         let before: Vec<f64> = (0..4u32).map(|b| snap.pair(0, b)).collect();
-        // Mutate the source; the snapshot must not move.
-        s.set(0, 1, 99.0);
+        // Mutate the source the way an engine does (copy on write); the
+        // snapshot must not move.
+        Arc::make_mut(&mut s).set(0, 1, 99.0);
+        assert!(!std::ptr::eq(snap.view().base(), &*s));
         delta.push_dense(vec![9.0; 4], vec![9.0; 4]);
         let after: Vec<f64> = (0..4u32).map(|b| snap.pair(0, b)).collect();
         assert_eq!(before, after);
@@ -576,8 +596,7 @@ mod tests {
         // … stacked negated for reconstruction.
         let mut back = LowRankDelta::new(5);
         back.extend_negated(&forward);
-        let head: std::sync::Arc<dyn SnapshotQuery> =
-            std::sync::Arc::new(ScoreView::new(&later, None).to_snapshot());
+        let head: Arc<dyn SnapshotQuery> = Arc::new(ScoreSnapshot::new(Arc::new(later), None));
         let snap = DeltaSnapshot::new(head, back, 4);
 
         assert_eq!(snap.n(), 4);
@@ -610,8 +629,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn delta_snapshot_rejects_nodes_born_after_the_epoch() {
         let later = DenseMatrix::identity(3);
-        let head: std::sync::Arc<dyn SnapshotQuery> =
-            std::sync::Arc::new(ScoreView::new(&later, None).to_snapshot());
+        let head: Arc<dyn SnapshotQuery> = Arc::new(ScoreSnapshot::new(Arc::new(later), None));
         let snap = DeltaSnapshot::new(head, LowRankDelta::new(3), 2);
         let _ = snap.pair(0, 2);
     }

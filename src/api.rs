@@ -516,6 +516,17 @@ impl SimRankBuilder {
     /// all, so for those engines the offered matrix is only shape-checked
     /// and then discarded.
     pub fn with_scores(self, graph: DiGraph, scores: DenseMatrix) -> Result<SimRank, BuildError> {
+        self.with_shared_scores(graph, Arc::new(scores))
+    }
+
+    /// [`Self::with_scores`] over a shared matrix: the engine copies it
+    /// only on its first write, so the sharded router seeds every shard
+    /// from one buffer.
+    pub(crate) fn with_shared_scores(
+        self,
+        graph: DiGraph,
+        scores: Arc<DenseMatrix>,
+    ) -> Result<SimRank, BuildError> {
         let n = graph.node_count();
         if scores.rows() != n || scores.cols() != n {
             return Err(BuildError::ShapeMismatch {
@@ -534,10 +545,10 @@ impl SimRankBuilder {
     pub(crate) fn make_engine(
         &self,
         graph: DiGraph,
-        scores: Option<DenseMatrix>,
+        scores: Option<Arc<DenseMatrix>>,
     ) -> Result<Box<dyn SimRankMaintainer + Send>, BuildError> {
-        let need_scores = |scores: Option<DenseMatrix>, graph: &DiGraph| {
-            scores.unwrap_or_else(|| batch_simrank(graph, &self.cfg))
+        let need_scores = |scores: Option<Arc<DenseMatrix>>, graph: &DiGraph| {
+            scores.unwrap_or_else(|| Arc::new(batch_simrank(graph, &self.cfg)))
         };
         let engine: Box<dyn SimRankMaintainer + Send> = match self.kind {
             EngineKind::IncSr => {
@@ -955,8 +966,10 @@ impl SimRank {
 
     /// An owned, frozen [`ScoreSnapshot`] of the current state, or `None`
     /// when the engine is matrix-free (use [`Self::snapshot_query`] for
-    /// the engine-agnostic frozen handle). Not counted as a query: epoch
-    /// publication is maintenance traffic, not workload signal.
+    /// the engine-agnostic frozen handle). It shares the engine's base
+    /// matrix until the engine's next write, so taking one copies only
+    /// the pending factors. Not counted as a query: epoch publication is
+    /// maintenance traffic, not workload signal.
     pub fn snapshot_view(&self) -> Option<ScoreSnapshot> {
         self.engine
             .matrix()
@@ -965,9 +978,13 @@ impl SimRank {
 
     /// An engine-agnostic frozen query handle — the epoch material of the
     /// concurrent serving layer ([`crate::serve`]). Matrix engines freeze
-    /// an owned `S_base + Δ` snapshot (`n²` bytes); the probe engine
-    /// freezes its graph (`O(n + m)` bytes) and keeps sampling against
-    /// it. Works on every engine; not counted as a query.
+    /// `S_base + Δ` as a [`ScoreSnapshot`]: a pointer to the engine's base
+    /// matrix plus a copy of the pending factors. No `n²` bytes are
+    /// copied when it is taken; the engine's next write copies the matrix
+    /// first, and from then on the snapshot alone keeps the old one alive.
+    /// The probe engine freezes its graph (`O(n + m)` bytes) and keeps
+    /// sampling against it. Works on every engine; not counted as a
+    /// query.
     pub fn snapshot_query(&self) -> std::sync::Arc<dyn SnapshotQuery> {
         self.engine.snapshot_query()
     }

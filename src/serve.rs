@@ -30,8 +30,9 @@
 //! `[s·⌈n₀/S⌉, (s+1)·⌈n₀/S⌉)` (the last shard also owns any ids appended
 //! later via [`ShardedSimRank::add_node`]). Every shard engine spans the
 //! **full** node set — partitioning routes *work*, not matrix indices —
-//! and is seeded with the same batch-computed initial scores (matrix-free
-//! shards skip the batch solve and hold only the graph).
+//! and is seeded with the same batch-computed initial scores — one shared
+//! buffer that each shard copies on its first write (matrix-free shards
+//! skip the batch solve and hold only the graph).
 //!
 //! Routing rules:
 //!
@@ -68,6 +69,12 @@
 //! * [`ConcurrentSimRank::publish`] freezes every shard's current
 //!   `S_base + Δ` into a new [`Epoch`] and swaps it in atomically
 //!   (readers pick it up on their next [`EpochReader::epoch`] call);
+//! * a dense shard's epoch **shares** the engine's score matrix rather
+//!   than copying it: publishing costs a pointer clone, and the engine
+//!   copies the matrix only when it next writes to it (copy-on-write; see
+//!   [`MatrixAccess`](crate::core::MatrixAccess)). Steady state is
+//!   therefore the engine's head matrix plus the one epoch readers can
+//!   see, and each epoch a reader keeps pinned holds one more;
 //! * a lazy window travels *into* the epoch: pending ΔS factors are
 //!   snapshotted, not materialised, so publishing never forces an `n²`
 //!   apply.
@@ -535,7 +542,7 @@ pub struct ShardedSimRank {
 
 impl ShardedSimRank {
     /// Builds the router from a builder, a graph, and pre-computed scores
-    /// (the last shard takes the matrix, the others a copy of it;
+    /// (every shard shares the one matrix until its first write;
     /// [`EngineKind::IncSvd`] shards derive their own factorisation as
     /// usual, and matrix-free kinds ignore the matrix — prefer
     /// [`SimRankBuilder::build_sharded`](crate::api::SimRankBuilder::build_sharded)
@@ -552,9 +559,11 @@ impl ShardedSimRank {
 
     /// Shared construction. `scores` yields the initial matrix, or `None`
     /// to let each shard build on its own (matrix-free shards never see an
-    /// `n²` buffer). It runs only once the write-ahead log, if any, is
-    /// found empty: a non-empty log rebuilds every shard from its own
-    /// checkpoints, so a precompute there would be thrown away.
+    /// `n²` buffer). Every matrix shard gets a pointer to the one matrix
+    /// and copies it only on its first write. `scores` runs only once the
+    /// write-ahead log, if any, is found empty: a non-empty log rebuilds
+    /// every shard from its own checkpoints, so a precompute there would
+    /// be thrown away.
     pub(crate) fn build_internal(
         builder: SimRankBuilder,
         graph: DiGraph,
@@ -576,18 +585,12 @@ impl ShardedSimRank {
 
         let shard_count = builder.shard_count();
         let partition = ShardPartition::new(graph.node_count(), shard_count);
-        let mut scores = scores(&graph);
+        let scores = scores(&graph).map(Arc::new);
         let mut shards = Vec::with_capacity(shard_count);
-        for k in 0..shard_count {
+        for _ in 0..shard_count {
             let b = builder.clone();
-            // The last shard takes the matrix itself; the others copy it.
-            let s = if k + 1 == shard_count {
-                scores.take()
-            } else {
-                scores.clone()
-            };
-            shards.push(match s {
-                Some(s) => b.with_scores(graph.clone(), s)?,
+            shards.push(match &scores {
+                Some(s) => b.with_shared_scores(graph.clone(), Arc::clone(s))?,
                 None => b.from_graph(graph.clone())?,
             });
         }
@@ -1389,10 +1392,11 @@ impl ShardedSimRank {
     /// Freezes every shard's current state into an [`Epoch`] with the
     /// given sequence number (the [`ConcurrentSimRank`] publish
     /// primitive; also useful stand-alone for consistent bulk exports).
-    /// Matrix shards freeze an owned `S_base + Δ` snapshot; matrix-free
-    /// shards freeze their graph (`O(n + m)`) and keep sampling — every
-    /// engine publishes through the same engine-agnostic
-    /// [`SnapshotQuery`] handle.
+    /// Matrix shards freeze `S_base + Δ` by sharing their base matrix
+    /// (a pointer clone; the engine copies it on its next write) plus a
+    /// copy of the pending factors; matrix-free shards freeze their graph
+    /// (`O(n + m)`) and keep sampling — every engine publishes through
+    /// the same engine-agnostic [`SnapshotQuery`] handle.
     ///
     /// A **quarantined** shard's live engine is never snapshotted:
     /// its view is carried over from `prev` (the last epoch published
@@ -2070,8 +2074,9 @@ impl ConcurrentSimRank {
     pub fn publish_stamped(&mut self, stamp: u64) -> u64 {
         self.seq += 1;
         // Build the epoch before touching the slot: readers keep serving
-        // the old epoch during the (n²-copy) freeze and only ever wait on
-        // the pointer swap itself.
+        // the old epoch during the freeze (pointer clones of the shards'
+        // matrices plus their pending factors) and only ever wait on the
+        // pointer swap itself.
         let prev = self.slot.load();
         let epoch = Arc::new(self.inner.snapshot_epoch(self.seq, Some(&prev)));
         if self.retain > 1 {
@@ -2219,8 +2224,8 @@ impl ConcurrentSimRank {
             } else if self.inner.shards[s].is_matrix_free() {
                 anchors.push(wal::ShardDeltaImage::Replay);
             } else {
-                // One frozen live copy per matrix shard — the same cost
-                // the checkpoint image itself just paid.
+                // A pointer clone of the live matrix plus a copy of its
+                // pending factors, not an n² copy.
                 let live = self.inner.shards[s].snapshot_query();
                 match (head.views[s].score_snapshot(), live.score_snapshot()) {
                     (Some(hs), Some(ls)) => {
@@ -3028,6 +3033,41 @@ mod tests {
         // authoritative either way.
         assert!(sharded.shard(0).graph().has_edge(1, 6));
         assert!(sharded.shard(1).graph().has_edge(1, 6));
+    }
+
+    #[test]
+    fn shards_share_the_precomputed_matrix_until_they_write() {
+        // 8 nodes over 4 shards: shard s owns nodes {2s, 2s + 1}.
+        let mut sharded = SimRankBuilder::new()
+            .config(cfg())
+            .mode(ApplyPolicy::Eager)
+            .shards(4)
+            .build_sharded(fixture())
+            .unwrap();
+        let base = |r: &ShardedSimRank, s: usize| {
+            r.shard(s)
+                .view()
+                .expect("dense shard")
+                .base()
+                .as_slice()
+                .as_ptr()
+        };
+        let built = base(&sharded, 0);
+        for s in 1..4 {
+            assert_eq!(base(&sharded, s), built, "shard {s} copied at build");
+        }
+        // (0, 3) routes to shards 0 and 1, (6, 7) to shard 3; shard 2
+        // sees no write.
+        sharded.insert(0, 3).unwrap();
+        sharded.remove(6, 7).unwrap();
+        let after: Vec<_> = (0..4).map(|s| base(&sharded, s)).collect();
+        assert_eq!(after[2], built, "an unwritten shard keeps the buffer");
+        for s in [0, 1, 3] {
+            assert_ne!(after[s], built, "shard {s} wrote into the shared buffer");
+            for t in [0, 1, 3] {
+                assert!(s == t || after[s] != after[t], "shards {s}, {t} alias");
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,19 @@
 //!   batch recomputation is not its ground truth. Its conformance
 //!   contract is policy-invariance: all four policies must reproduce its
 //!   own eager trajectory within 1e-12, with views never stale.
+//!
+//! A snapshot shares its engine's base matrix until the engine's next
+//! write (copy-on-write). The tests at the end pin that contract for
+//! every dense engine under every policy: a snapshot never moves when
+//! the engine mutates, it keeps sharing through every call with nothing
+//! to write, and the first write ends the sharing.
 
 use incsim::api::{ApplyPolicy, EngineKind, SimRank, SimRankBuilder};
 use incsim::baselines::IncSvdOptions;
-use incsim::core::{batch_simrank, ProbeOptions, SimRankConfig};
+use incsim::core::{
+    batch_simrank, ApplyMode, GraphSink, IncSr, IncUSr, MatrixAccess, ProbeOptions, ScoreSnapshot,
+    SimRankConfig,
+};
 use incsim::datagen::er::erdos_renyi;
 use incsim::datagen::rmat::{rmat, RmatParams};
 use incsim::graph::{DiGraph, UpdateOp};
@@ -338,4 +347,254 @@ fn probe_matrix_capabilities_absent_without_panic() {
     let snap = sim.snapshot_query();
     assert_eq!(snap.n(), 18);
     assert!(snap.score_snapshot().is_none());
+}
+
+/// The four engines that keep a dense score matrix.
+const DENSE: [EngineKind; 4] = [
+    EngineKind::IncSr,
+    EngineKind::IncUSr,
+    EngineKind::IncSvd,
+    EngineKind::Naive,
+];
+
+/// Address of the engine's base buffer, through the public view.
+fn base_ptr(sim: &SimRank) -> *const f64 {
+    sim.view().expect("dense engine").base().as_slice().as_ptr()
+}
+
+fn snap_ptr(snap: &ScoreSnapshot) -> *const f64 {
+    snap.view().base().as_slice().as_ptr()
+}
+
+/// A non-loop pair that is (`present`) or is not an edge of `g`.
+fn pick_pair(g: &DiGraph, present: bool, rng: &mut StdRng) -> (u32, u32) {
+    let n = g.node_count() as u32;
+    loop {
+        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if u != v && g.has_edge(u, v) == present {
+            return (u, v);
+        }
+    }
+}
+
+fn insert_some(sim: &mut SimRank, rng: &mut StdRng) {
+    let (u, v) = pick_pair(sim.graph(), false, rng);
+    sim.insert(u, v).expect("absent edge inserts");
+}
+
+/// A snapshot together with deep copies of its base and of its composed
+/// `S_base + Δ`, taken at the same moment.
+struct Frozen {
+    snap: ScoreSnapshot,
+    base: DenseMatrix,
+    effective: DenseMatrix,
+}
+
+impl Frozen {
+    fn take(snap: ScoreSnapshot) -> Self {
+        let base = snap.view().base().clone();
+        let effective = snap.view().materialise();
+        Frozen {
+            snap,
+            base,
+            effective,
+        }
+    }
+
+    /// The snapshot is still bit-identical to its deep copies.
+    fn assert_unmoved(&self, ctx: &str) {
+        assert!(self.snap.view().base() == &self.base, "{ctx}: base moved");
+        assert!(
+            self.snap.view().materialise() == self.effective,
+            "{ctx}: S_base + Δ moved"
+        );
+    }
+}
+
+fn conformance_graph() -> (DiGraph, DenseMatrix) {
+    let mut rng = StdRng::seed_from_u64(0x5A4E);
+    let g = erdos_renyi(20, 60, &mut rng);
+    let s0 = batch_simrank(&g, &tight());
+    (g, s0)
+}
+
+type Step = (&'static str, fn(&mut SimRank, &mut StdRng));
+
+/// Every mutating entry point of the service handle.
+const MUTATIONS: [Step; 6] = [
+    ("insert", insert_some),
+    ("remove", |sim, rng| {
+        let (u, v) = pick_pair(sim.graph(), true, rng);
+        sim.remove(u, v).expect("present edge removes");
+    }),
+    ("update_batch", |sim, rng| {
+        let (a, b) = pick_pair(sim.graph(), false, rng);
+        let (c, d) = pick_pair(sim.graph(), true, rng);
+        sim.update_batch(&[UpdateOp::Insert(a, b), UpdateOp::Delete(c, d)])
+            .expect("valid batch");
+    }),
+    ("flush", |sim, _| {
+        sim.flush();
+    }),
+    ("mode change", |sim, _| {
+        let m = sim.engine_mut().matrix_mut().expect("dense engine");
+        let next = if m.mode() == ApplyMode::Lazy {
+            ApplyMode::Eager
+        } else {
+            ApplyMode::Lazy
+        };
+        m.set_mode(next);
+    }),
+    ("add_node", |sim, _| {
+        sim.add_node();
+    }),
+];
+
+#[test]
+fn snapshots_stay_frozen_through_every_mutation() {
+    let (g, s0) = conformance_graph();
+    let mut rng = StdRng::seed_from_u64(7);
+    for kind in DENSE {
+        for policy in POLICIES {
+            let mut sim = build(kind, policy, &g, &s0);
+            for (name, mutate) in MUTATIONS {
+                let ctx = format!("{kind:?}/{policy:?}/{name}");
+                // Leave an update pending where the policy defers, so a
+                // flush or a mode change has something to fold.
+                insert_some(&mut sim, &mut rng);
+                let frozen = Frozen::take(sim.snapshot_view().expect("dense engine"));
+                mutate(&mut sim, &mut rng);
+                frozen.assert_unmoved(&ctx);
+            }
+        }
+    }
+
+    // Row-grouped batches exist on the two deferring engines only, as
+    // inherent methods: drive them in every apply mode.
+    fn grouped<E: MatrixAccess + GraphSink>(
+        mut engine: E,
+        apply_grouped: fn(&mut E, &[UpdateOp]),
+        rng: &mut StdRng,
+        ctx: &str,
+    ) {
+        let (u, v) = pick_pair(engine.graph(), false, rng);
+        engine.insert_edge(u, v).expect("absent edge inserts");
+        let frozen = Frozen::take(engine.snapshot_view());
+        let (a, b) = pick_pair(engine.graph(), false, rng);
+        let (c, d) = pick_pair(engine.graph(), true, rng);
+        apply_grouped(
+            &mut engine,
+            &[UpdateOp::Insert(a, b), UpdateOp::Delete(c, d)],
+        );
+        frozen.assert_unmoved(ctx);
+    }
+    for mode in [ApplyMode::Eager, ApplyMode::Fused, ApplyMode::Lazy] {
+        let engine = IncSr::new(g.clone(), s0.clone(), tight()).with_mode(mode);
+        grouped(
+            engine,
+            |e, ops| {
+                e.apply_grouped(ops).expect("valid batch");
+            },
+            &mut rng,
+            &format!("Inc-SR/{mode:?}/apply_grouped"),
+        );
+        let engine = IncUSr::new(g.clone(), s0.clone(), tight()).with_mode(mode);
+        grouped(
+            engine,
+            |e, ops| {
+                e.apply_grouped(ops).expect("valid batch");
+            },
+            &mut rng,
+            &format!("Inc-uSR/{mode:?}/apply_grouped"),
+        );
+    }
+}
+
+#[test]
+fn snapshots_share_the_engine_buffer_until_it_writes() {
+    let (g, s0) = conformance_graph();
+    let mut rng = StdRng::seed_from_u64(11);
+    for kind in DENSE {
+        for policy in POLICIES {
+            let ctx = format!("{kind:?}/{policy:?}");
+            let mut sim = build(kind, policy, &g, &s0);
+            insert_some(&mut sim, &mut rng);
+
+            // Shared right after it is taken, pending updates or not.
+            let frozen = Frozen::take(sim.snapshot_view().expect("dense engine"));
+            let shared = |sim: &SimRank| base_ptr(sim) == snap_ptr(&frozen.snap);
+            assert!(shared(&sim), "{ctx}: snapshot copied the matrix");
+
+            // Reads never copy.
+            let _ = sim.pair(0, 1);
+            let _ = sim.single_source(2);
+            let _ = sim.top_k(3, 4);
+            let _ = sim.similar_above(4, 0.01);
+            let _ = sim.snapshot_query();
+            let _ = sim.snapshot_view();
+            let _ = (sim.pending_rank(), sim.pending_heap_bytes());
+            assert!(shared(&sim), "{ctx}: a read copied the matrix");
+
+            // Re-asserting the current mode (what `Auto` does on every
+            // update) and recompressing pending factors never copy.
+            let m = sim.engine_mut().matrix_mut().expect("dense engine");
+            let mode = m.mode();
+            m.set_mode(mode);
+            assert!(shared(&sim), "{ctx}: set_mode(current) copied");
+            sim.compress();
+            assert!(shared(&sim), "{ctx}: compress copied");
+
+            // With nothing pending, flush, scores(), compress_pending and
+            // the checkpoint image have nothing to write either.
+            sim.flush();
+            let idle = Frozen::take(sim.snapshot_view().expect("dense engine"));
+            let idle_shared = |sim: &SimRank| base_ptr(sim) == snap_ptr(&idle.snap);
+            assert_eq!(sim.flush(), 0);
+            sim.scores().expect("dense engine");
+            sim.engine_mut()
+                .matrix_mut()
+                .expect("dense engine")
+                .compress_pending(1e-13);
+            let mut image = Vec::new();
+            sim.snapshot(&mut image).expect("dense checkpoint");
+            assert!(!image.is_empty());
+            assert!(idle_shared(&sim), "{ctx}: an idle call copied");
+
+            // The first write ends the sharing; under Lazy that write is
+            // the flush that folds the pending update in.
+            insert_some(&mut sim, &mut rng);
+            if sim.pending_rank() == 0 {
+                assert!(!idle_shared(&sim), "{ctx}: write did not copy");
+            }
+            sim.flush();
+            assert!(!idle_shared(&sim), "{ctx}: flush did not copy");
+            frozen.assert_unmoved(&ctx);
+            idle.assert_unmoved(&ctx);
+        }
+    }
+}
+
+#[test]
+fn lazy_snapshots_share_one_buffer_across_unflushed_updates() {
+    let (g, s0) = conformance_graph();
+    let mut rng = StdRng::seed_from_u64(13);
+    // Only these two defer ΔS; the others replace their whole matrix on
+    // every update.
+    for kind in [EngineKind::IncSr, EngineKind::IncUSr] {
+        let ctx = format!("{kind:?}/Lazy");
+        let mut sim = build(kind, ApplyPolicy::Lazy, &g, &s0);
+        let first = Frozen::take(sim.snapshot_view().expect("dense engine"));
+        insert_some(&mut sim, &mut rng);
+        insert_some(&mut sim, &mut rng);
+        assert!(sim.pending_rank() > 0, "{ctx}: updates were not deferred");
+        let second = Frozen::take(sim.snapshot_view().expect("dense engine"));
+        assert_eq!(snap_ptr(&first.snap), snap_ptr(&second.snap), "{ctx}");
+        assert_eq!(base_ptr(&sim), snap_ptr(&second.snap), "{ctx}");
+        // One buffer, two moments: each answers for its own.
+        assert!(first.effective != second.effective, "{ctx}: no change seen");
+        sim.flush();
+        assert_ne!(base_ptr(&sim), snap_ptr(&second.snap), "{ctx}");
+        first.assert_unmoved(&ctx);
+        second.assert_unmoved(&ctx);
+    }
 }
