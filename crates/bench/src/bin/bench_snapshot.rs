@@ -10,7 +10,7 @@
 //! lazy apply modes, the isolated micro-kernels, the `service_overhead`
 //! case (the `incsim::api` dyn handle vs direct engine calls on an
 //! update+query serving workload), the `concurrent_throughput` case
-//! (epoch-reader queries/sec at 1/2/4 threads against the sharded
+//! (epoch-reader queries/sec at 1/2/4 threads against the
 //! `incsim::serve` layer under a saturated background writer), and the
 //! `probe_single_source` case (matrix-free single-source latency and
 //! peak heap at `--probe-n` and `4 × --probe-n` nodes — sizes no dense
@@ -185,9 +185,10 @@ fn run(args: &[String]) -> Result<(), String> {
         per(service.service_secs),
     );
 
-    // Concurrent sharded serving: qps at 1/2/4 reader threads with a
-    // saturated writer, plus sharded-path exactness. Dimension n/2 keeps
-    // the extra batch precompute a fraction of the apply-modes one.
+    // Concurrent serving: qps at 1/2/4 reader threads with a saturated
+    // writer, plus serving-path exactness on a graph of 4 disjoint
+    // components. Dimension n/2 keeps the extra batch precompute a
+    // fraction of the apply-modes one.
     let duration = (2.0 * bench_scale()).max(0.04);
     let concurrent = measure_concurrent_throughput(n / 2, k, 4, duration);
     println!(
@@ -201,9 +202,8 @@ fn run(args: &[String]) -> Result<(), String> {
         concurrent.epochs_published,
     );
     println!(
-        "   sharded     : fused {:.2e}, lazy {:.2e} (max |Δ| vs eager through epochs)",
-        concurrent.max_abs_diff_sharded_fused_vs_eager,
-        concurrent.max_abs_diff_sharded_lazy_vs_eager
+        "   epochs      : fused {:.2e}, lazy {:.2e} (max |Δ| vs eager through epochs)",
+        concurrent.max_abs_diff_fused_vs_eager, concurrent.max_abs_diff_lazy_vs_eager
     );
 
     // Long lazy window: recompression holds query cost at O(numerical
@@ -324,7 +324,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
     // Exactness is noise-free at any scale: a nonzero drift means the
     // deferred apply path is wrong, so the gate fails hard — including
-    // through the sharded serving path.
+    // through the serving path.
     let drift = modes
         .max_abs_diff_fused_vs_eager
         .max(modes.max_abs_diff_lazy_vs_eager);
@@ -333,12 +333,12 @@ fn run(args: &[String]) -> Result<(), String> {
             "deferred apply modes drifted {drift:.2e} from eager (tolerance 1e-9)"
         ));
     }
-    let sharded_drift = concurrent
-        .max_abs_diff_sharded_fused_vs_eager
-        .max(concurrent.max_abs_diff_sharded_lazy_vs_eager);
-    if sharded_drift > 1e-12 {
+    let serving_drift = concurrent
+        .max_abs_diff_fused_vs_eager
+        .max(concurrent.max_abs_diff_lazy_vs_eager);
+    if serving_drift > 1e-12 {
         return Err(format!(
-            "sharded serving path drifted {sharded_drift:.2e} from eager (tolerance 1e-12)"
+            "serving path drifted {serving_drift:.2e} from eager (tolerance 1e-12)"
         ));
     }
     // The compressed window answers from the same factor representation

@@ -406,17 +406,15 @@ pub fn measure_micro_kernels(n: usize, pairs: usize, reps: usize) -> MicroKernel
     }
 }
 
-/// Throughput and exactness of the `incsim::serve` concurrent sharded
-/// layer: aggregate epoch-reader queries/sec at 1, 2 and 4 reader
-/// threads with a saturated background writer, plus the deferred-apply
-/// exactness of the fused and lazy policies *through the sharded path*
-/// (vs the eager sharded trajectory — an identity, so noise-free).
+/// Throughput and exactness of the `incsim::serve` concurrent layer:
+/// aggregate epoch-reader queries/sec at 1, 2 and 4 reader threads with
+/// a saturated background writer, plus the deferred-apply exactness of
+/// the fused and lazy policies *through the serving path* (vs the eager
+/// trajectory — an identity, so noise-free).
 #[derive(Debug, Clone)]
 pub struct ConcurrentThroughputSnapshot {
     /// Node count of the workload graph.
     pub n: usize,
-    /// Engine shards behind the router.
-    pub shards: usize,
     /// Iterations `K`.
     pub k_iters: usize,
     /// Seconds measured per reader-thread point.
@@ -430,47 +428,51 @@ pub struct ConcurrentThroughputSnapshot {
     /// `qps_4t / qps_1t` — the serving-scalability headline.
     pub speedup_4_vs_1: f64,
     /// Updates/sec the background writer sustained at the 4-reader point
-    /// (batched, fanned across shards, publish every 4 batches).
+    /// (batches of 16, publish every 4 batches).
     pub writer_updates_per_sec: f64,
     /// Epochs published at the 4-reader point.
     pub epochs_published: u64,
-    /// Max |fused − eager| over all pairs, read through sharded epochs.
-    pub max_abs_diff_sharded_fused_vs_eager: f64,
+    /// Max |fused − eager| over all pairs, read through epochs (JSON key
+    /// `max_abs_diff_sharded_fused_vs_eager`, kept so snapshots stay
+    /// comparable).
+    pub max_abs_diff_fused_vs_eager: f64,
     /// Max |lazy − eager| over all pairs, same read path — the lazy
-    /// router's epoch composes its *pending* Δ (nothing flushed), so this
-    /// also certifies Δ-composition through snapshots.
-    pub max_abs_diff_sharded_lazy_vs_eager: f64,
+    /// handle's epoch composes its *pending* Δ (nothing flushed), so this
+    /// also certifies Δ-composition through snapshots (JSON key
+    /// `max_abs_diff_sharded_lazy_vs_eager`).
+    pub max_abs_diff_lazy_vs_eager: f64,
 }
 
 /// The next `len` valid intra-component toggles, round-robin across the
-/// component blocks (a balanced partitioned-ingest stream).
+/// component blocks.
 fn intra_block_toggles(
     shadow: &mut DiGraph,
-    shards: usize,
+    components: usize,
     per: usize,
     len: usize,
     rng: &mut StdRng,
 ) -> Vec<UpdateOp> {
-    let blocks: Vec<std::ops::Range<u32>> = (0..shards)
+    let blocks: Vec<std::ops::Range<u32>> = (0..components)
         .map(|s| (s * per) as u32..((s + 1) * per) as u32)
         .collect();
     random_toggles_blocks(shadow, &blocks, len, rng)
 }
 
 /// Measures the concurrent serving layer at dimension `n` (rounded down
-/// to a multiple of `shards`): reader-thread sweep for throughput, then
-/// a policy sweep for sharded exactness. `duration_secs` is the
+/// to a multiple of `components`, the number of disjoint ER components
+/// in the workload graph): reader-thread sweep for throughput, then a
+/// policy sweep for exactness through epochs. `duration_secs` is the
 /// measurement window per reader point (scaled by the caller).
 pub fn measure_concurrent_throughput(
     n: usize,
     k_iters: usize,
-    shards: usize,
+    components: usize,
     duration_secs: f64,
 ) -> ConcurrentThroughputSnapshot {
-    let per = (n / shards).max(2);
-    let n = per * shards;
+    let per = (n / components).max(2);
+    let n = per * components;
     let mut graph_rng = StdRng::seed_from_u64(99);
-    let g = erdos_renyi_blocks(shards, per, per * 6, &mut graph_rng);
+    let g = erdos_renyi_blocks(components, per, per * 6, &mut graph_rng);
     let cfg = SimRankConfig::new(0.6, k_iters).expect("valid config");
     let s0 = batch_simrank(&g, &cfg);
     let builder = |policy: ApplyPolicy| {
@@ -478,25 +480,23 @@ pub fn measure_concurrent_throughput(
             .algorithm(EngineKind::IncUSr)
             .mode(policy)
             .config(cfg)
-            .shards(shards)
     };
 
-    // ---- exactness through the sharded path ---------------------------
-    // Same stream through eager / fused / lazy sharded routers; answers
-    // are read through a frozen epoch (base + pending Δ for lazy), so the
-    // comparison crosses routing, snapshotting and Δ-composition at once.
+    // ---- exactness through the serving path ---------------------------
+    // Same stream through eager / fused / lazy handles; answers are read
+    // through a frozen epoch (base + pending Δ for lazy), so the
+    // comparison crosses the batch path, snapshotting and Δ-composition
+    // at once.
     let mut stream_shadow = g.clone();
     let mut stream_rng = StdRng::seed_from_u64(4321);
-    let exact_ops = intra_block_toggles(&mut stream_shadow, shards, per, 12, &mut stream_rng);
+    let exact_ops = intra_block_toggles(&mut stream_shadow, components, per, 12, &mut stream_rng);
     let drive = |policy: ApplyPolicy| -> ShardedSimRank {
-        let mut sharded = ShardedSimRank::with_scores(builder(policy), g.clone(), s0.clone())
-            .expect("router builds");
+        let mut handle = ShardedSimRank::with_scores(builder(policy), g.clone(), s0.clone())
+            .expect("handle builds");
         for chunk in exact_ops.chunks(3) {
-            sharded
-                .update_batch_with_threads(chunk, shards)
-                .expect("stream valid");
+            handle.update_batch(chunk).expect("stream valid");
         }
-        sharded
+        handle
     };
     let eager = drive(ApplyPolicy::Eager).snapshot_epoch(0, None);
     let fused = drive(ApplyPolicy::Fused).snapshot_epoch(0, None);
@@ -513,19 +513,18 @@ pub fn measure_concurrent_throughput(
 
     // ---- reader-thread throughput sweep -------------------------------
     // The writer side is deliberately saturated (continuous 16-op
-    // batches — 4 per shard, round-robin — fanned across the shards,
-    // publish every 4 batches): the number under load is the one that
-    // matters, and on any core count it exposes how much reader capacity
-    // the epoch design preserves. `incsim::serve::drive_load` is the
-    // shared harness (also behind `incsim-cli serve`).
+    // batches, publish every 4 batches): the number under load is the one
+    // that matters, and on any core count it exposes how much reader
+    // capacity the epoch design preserves. `incsim::serve::drive_load` is
+    // the shared harness (also behind `incsim-cli serve`).
     let mut qps = [0.0f64; 3];
     let mut writer_updates_per_sec = 0.0;
     let mut epochs_published = 0u64;
     for (point, readers) in [1usize, 2, 4].into_iter().enumerate() {
-        let sharded =
+        let handle =
             ShardedSimRank::with_scores(builder(ApplyPolicy::Fused), g.clone(), s0.clone())
-                .expect("router builds");
-        let mut serving = ConcurrentSimRank::new(sharded);
+                .expect("handle builds");
+        let mut serving = ConcurrentSimRank::new(handle);
         let report = drive_load(
             &mut serving,
             &LoadOptions {
@@ -533,7 +532,6 @@ pub fn measure_concurrent_throughput(
                 duration: std::time::Duration::from_secs_f64(duration_secs),
                 write_batch: 16,
                 publish_every: 4,
-                writer_threads: shards,
                 seed: 777,
             },
         )
@@ -547,7 +545,6 @@ pub fn measure_concurrent_throughput(
 
     ConcurrentThroughputSnapshot {
         n,
-        shards,
         k_iters,
         duration_secs,
         qps_1t: qps[0],
@@ -556,8 +553,8 @@ pub fn measure_concurrent_throughput(
         speedup_4_vs_1: qps[2] / qps[0].max(1e-9),
         writer_updates_per_sec,
         epochs_published,
-        max_abs_diff_sharded_fused_vs_eager: diff_fused,
-        max_abs_diff_sharded_lazy_vs_eager: diff_lazy,
+        max_abs_diff_fused_vs_eager: diff_fused,
+        max_abs_diff_lazy_vs_eager: diff_lazy,
     }
 }
 
@@ -793,7 +790,7 @@ pub fn measure_probe_single_source(n_small: usize, k_iters: usize) -> ProbeSingl
 }
 
 /// Cost of write-ahead durability on the serving write path: the same
-/// unit-update stream through two single-shard routers, one logging every
+/// unit-update stream through two serving handles, one logging every
 /// op (`SimRankBuilder::wal`), one not.
 #[derive(Debug, Clone)]
 pub struct WalOverheadSnapshot {
@@ -1348,7 +1345,6 @@ pub fn snapshot_json(cases: &SnapshotCases<'_>) -> String {
   }},
   "concurrent_throughput": {{
     "n": {cn},
-    "shards": {csh},
     "k_iters": {ck},
     "duration_secs": {cd:.3},
     "qps_1t": {cq1:.6e},
@@ -1459,7 +1455,6 @@ pub fn snapshot_json(cases: &SnapshotCases<'_>) -> String {
         sdq = service.direct_query_secs,
         ssq = service.service_query_secs,
         cn = concurrent.n,
-        csh = concurrent.shards,
         ck = concurrent.k_iters,
         cd = concurrent.duration_secs,
         cq1 = concurrent.qps_1t,
@@ -1468,8 +1463,8 @@ pub fn snapshot_json(cases: &SnapshotCases<'_>) -> String {
         csp = concurrent.speedup_4_vs_1,
         cwu = concurrent.writer_updates_per_sec,
         cep = concurrent.epochs_published,
-        cdf = concurrent.max_abs_diff_sharded_fused_vs_eager,
-        cdl = concurrent.max_abs_diff_sharded_lazy_vs_eager,
+        cdf = concurrent.max_abs_diff_fused_vs_eager,
+        cdl = concurrent.max_abs_diff_lazy_vs_eager,
         ln = long_lazy.n,
         lk = long_lazy.k_iters,
         lw = long_lazy.window,
@@ -1550,14 +1545,14 @@ mod tests {
         assert!(concurrent.qps_1t > 0.0 && concurrent.qps_4t > 0.0);
         assert!(concurrent.epochs_published > 0);
         assert!(
-            concurrent.max_abs_diff_sharded_fused_vs_eager < 1e-12,
-            "sharded fused drift {:.2e}",
-            concurrent.max_abs_diff_sharded_fused_vs_eager
+            concurrent.max_abs_diff_fused_vs_eager < 1e-12,
+            "serving fused drift {:.2e}",
+            concurrent.max_abs_diff_fused_vs_eager
         );
         assert!(
-            concurrent.max_abs_diff_sharded_lazy_vs_eager < 1e-12,
-            "sharded lazy drift {:.2e}",
-            concurrent.max_abs_diff_sharded_lazy_vs_eager
+            concurrent.max_abs_diff_lazy_vs_eager < 1e-12,
+            "serving lazy drift {:.2e}",
+            concurrent.max_abs_diff_lazy_vs_eager
         );
         let long_lazy = measure_long_lazy_window(56, 4, 12);
         assert_eq!(long_lazy.window, 12);

@@ -5,9 +5,9 @@ use rand::Rng;
 
 /// Samples a graph of `blocks` **disjoint** ER components, component `b`
 /// on the contiguous id block `[b·per, (b+1)·per)` with `edges_per_block`
-/// edges. This is the workload shape of the serving layer's exactness
-/// contract (`incsim::serve`): a block partition over it is
-/// component-aligned, so every sharded answer is globally exact.
+/// edges: a graph of several disconnected communities, the workload of
+/// the `concurrent_throughput` bench case and the two-region serving
+/// example.
 pub fn erdos_renyi_blocks<R: Rng>(
     blocks: usize,
     per: usize,

@@ -83,9 +83,9 @@ pub fn random_toggles_in<R: Rng>(
 
 /// [`random_toggles_in`] spread **round-robin** across several blocks:
 /// op `i` toggles inside `blocks[i % blocks.len()]`, so every block
-/// receives the same op count (±1). This is the balanced ingest stream
-/// of the sharded serving benchmarks — even per-shard fan-out by
-/// construction.
+/// receives the same op count (±1): a balanced ingest stream over the
+/// communities of an [`erdos_renyi_blocks`](crate::er::erdos_renyi_blocks)
+/// graph, as the `concurrent_throughput` bench case drives it.
 ///
 /// # Panics
 /// Panics if `blocks` is empty or any block is invalid for

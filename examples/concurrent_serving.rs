@@ -1,13 +1,13 @@
-//! Concurrent serving: one writer maintains a **sharded** SimRank index
-//! while reader threads answer queries from immutable epoch snapshots —
-//! no reader ever blocks on an update, and no reader ever sees a torn
+//! Concurrent serving: one writer maintains an exact SimRank index while
+//! reader threads answer queries from immutable epoch snapshots — no
+//! reader ever blocks on an update, and no reader ever sees a torn
 //! state.
 //!
-//! The scenario: a two-region social graph (each region one shard —
-//! component-aligned, so the router is exact). A background ingest
-//! applies follow/unfollow events and publishes a fresh epoch after each
-//! batch; serving threads continuously answer "who is most similar to
-//! X?" against whatever epoch they hold.
+//! The scenario: a social graph of two regions. A background ingest
+//! applies follow/unfollow events — within a region or across the two —
+//! and publishes a fresh epoch after each batch; serving threads
+//! continuously answer "who is most similar to X?" against whatever
+//! epoch they hold.
 //!
 //! ```bash
 //! cargo run --release --example concurrent_serving
@@ -17,10 +17,9 @@ use incsim::api::{ApplyPolicy, SimRankBuilder};
 use incsim::core::{batch_simrank, SimRankConfig};
 use incsim::datagen::er::erdos_renyi_blocks;
 use incsim::datagen::updates::random_toggles_in;
-use incsim::graph::UpdateOp;
 use incsim::serve::serve_threads;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 const REGIONS: usize = 2;
@@ -30,33 +29,24 @@ fn main() {
     let n = REGIONS * PER_REGION;
     let mut rng = StdRng::seed_from_u64(7);
 
-    // Two independent regional graphs on contiguous id blocks.
+    // Two regional graphs on contiguous id blocks, not yet linked.
     let g = erdos_renyi_blocks(REGIONS, PER_REGION, PER_REGION * 4, &mut rng);
 
     let cfg = SimRankConfig::new(0.6, 40).expect("valid config");
     let mut serving = SimRankBuilder::new()
         .mode(ApplyPolicy::Auto)
         .config(cfg)
-        .shards(REGIONS)
         .concurrent(g.clone())
         .expect("serving handle builds");
     println!(
-        "serving {n} users across {REGIONS} region shards ({} worker threads available)",
+        "serving {n} users in {REGIONS} regions ({} worker threads available)",
         serve_threads()
     );
 
-    // A stream of follow/unfollow events, each inside one region.
+    // A stream of follow/unfollow events anywhere in the graph: about
+    // half of them cross the regions.
     let mut shadow = g;
-    let mut events: Vec<UpdateOp> = Vec::new();
-    while events.len() < 60 {
-        let base = (rng.gen_range(0..REGIONS) * PER_REGION) as u32;
-        events.extend(random_toggles_in(
-            &mut shadow,
-            base..base + PER_REGION as u32,
-            1,
-            &mut rng,
-        ));
-    }
+    let events = random_toggles_in(&mut shadow, 0..n as u32, 60, &mut rng);
 
     // Serve and ingest concurrently.
     let readers = serve_threads().clamp(2, 4);
@@ -128,10 +118,10 @@ fn main() {
             max_diff = max_diff.max((epoch.pair(a, b) - truth.get(a as usize, b as usize)).abs());
         }
     }
-    println!("exactness through the sharded path: max |Δ| = {max_diff:.2e} vs batch recompute");
+    println!("exactness through the serving path: max |Δ| = {max_diff:.2e} vs batch recompute");
     assert!(
         max_diff < 1e-8,
-        "sharded serving drifted from batch truth: {max_diff:.2e}"
+        "serving drifted from batch truth: {max_diff:.2e}"
     );
     println!("[ok] concurrent serving exact and coherent");
 }

@@ -1,7 +1,7 @@
-//! The failure story end to end: a durable sharded service survives a
-//! mid-apply crash on one shard (quarantine + degraded reads, no panic
-//! escapes), rebuilds the shard from its write-ahead log, then survives a
-//! full process "crash" — torn log tail included — by recovering from
+//! The failure story end to end: a durable serving handle survives a
+//! mid-apply engine crash (quarantine + degraded reads, no panic
+//! escapes), rebuilds its engine from the write-ahead log, then survives
+//! a full process "crash" — torn log tail included — by recovering from
 //! checkpoint + replay and resubmitting the lost suffix.
 //!
 //! ```bash
@@ -12,7 +12,7 @@ use incsim::api::{ApplyPolicy, EngineKind, SimRankBuilder};
 use incsim::core::{batch_simrank, SimRankConfig};
 use incsim::datagen::er::erdos_renyi;
 use incsim::datagen::updates::random_mixed;
-use incsim::serve::{ConcurrentSimRank, ServeError, ShardedSimRank};
+use incsim::serve::{ConcurrentSimRank, Health, ServeError, ShardedSimRank};
 use incsim::wal::faults::{apply_fault, ApplyFaults, Fault};
 use incsim::wal::{self};
 use rand::rngs::StdRng;
@@ -29,8 +29,7 @@ fn main() {
     };
     let _ = std::fs::remove_file(&wal_path);
 
-    // A 64-node service over two component-aligned shards (block 32), so
-    // cross-shard answers stay exact while one shard is down.
+    // A 64-node service over a graph of two 32-node ER components.
     let mut rng = StdRng::seed_from_u64(0xD00D);
     let mut edges: Vec<(u32, u32)> = erdos_renyi(32, 120, &mut rng).edges().collect();
     edges.extend(
@@ -43,24 +42,20 @@ fn main() {
     let cfg = SimRankConfig::new(0.6, 40).expect("valid parameters");
     let scores = batch_simrank(&graph, &cfg);
 
-    // Arm a one-shot mid-apply panic on an edge owned by shard 1: the
-    // kind of bug (or hardware fault) crash containment exists for.
+    // Arm a one-shot mid-apply panic on one edge: the kind of bug (or
+    // hardware fault) crash containment exists for.
     let faults = ApplyFaults::panic_on_edge(40, 41);
     let builder = SimRankBuilder::new()
         .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Eager)
         .config(cfg)
-        .shards(2)
         .wal(&wal_path)
         .checkpoint_every(16)
         .fault_injection(faults.clone());
-    let sharded = ShardedSimRank::with_scores(builder, graph.clone(), scores.clone())
-        .expect("durable router builds");
-    let mut serving = ConcurrentSimRank::new(sharded);
-    println!(
-        "serving n = {n} across 2 shards, write-ahead log at {}",
-        wal_path.display()
-    );
+    let handle = ShardedSimRank::with_scores(builder, graph.clone(), scores.clone())
+        .expect("durable handle builds");
+    let mut serving = ConcurrentSimRank::new(handle);
+    println!("serving n = {n}, write-ahead log at {}", wal_path.display());
 
     // Normal traffic, then the poisoned update.
     let warm = random_mixed(&graph, 24, 0.7, &mut rng);
@@ -76,32 +71,37 @@ fn main() {
     std::panic::set_hook(Box::new(|_| {}));
     let err = serving.insert(40, 41).expect_err("armed panic fires");
     std::panic::set_hook(default_hook);
-    assert!(matches!(err, ServeError::ShardPanicked { shard: 1, .. }));
+    assert!(matches!(err, ServeError::Panicked { .. }));
     assert!(faults.exhausted(), "the injected panic fired exactly once");
-    println!("shard 1 panicked mid-apply -> {err}");
+    println!("engine panicked mid-apply -> {err}");
 
-    // The blast radius is one shard: shard 0 serves fresh, shard 1 serves
-    // the last published epoch with a typed degraded status.
+    // Readers stay up: they are served the last published epoch with a
+    // typed degraded status, while writes are refused.
     serving.publish();
     let epoch = reader.epoch();
-    assert!(epoch.any_degraded());
+    assert!(epoch.degraded().is_some());
     let (stale, status) = epoch.pair_with_status(40, 44);
     assert_eq!(stale.to_bits(), before.to_bits(), "stale epoch is frozen");
     println!("degraded read s(40,44) = {stale:.4} ({status:?})");
-    serving.insert(2, 7).expect("shard 0 still writable");
-    let retry = serving.insert(50, 51).expect_err("shard 1 rejects writes");
-    assert!(matches!(retry, ServeError::Quarantined { shard: 1, .. }));
+    let retry = serving
+        .insert(50, 51)
+        .expect_err("quarantine rejects writes");
+    assert!(matches!(retry, ServeError::Quarantined { .. }));
 
-    // Rebuild the quarantined shard from checkpoint + replay.
-    serving.rebuild_shard(1).expect("rebuild from the log");
-    assert!(serving.sharded().quarantined_shards().is_empty());
+    // Rebuild the quarantined engine from checkpoint + replay.
+    serving.rebuild().expect("rebuild from the log");
+    assert_eq!(serving.sharded().health(), Health::Healthy);
+    assert!(
+        reader.epoch().degraded().is_none(),
+        "the rebuild republished"
+    );
     serving.insert(50, 51).expect("writable again");
     // The panicking op was durable before the panic, so it is part of the
-    // rebuilt state: the router matches an uncrashed twin exactly.
+    // rebuilt state.
     assert!(serving.sharded().graph().has_edge(40, 41));
     let c = serving.sharded().counters();
     println!(
-        "rebuilt shard 1: {} wal appends, {} checkpoints, {} replayed ops, \
+        "rebuilt engine: {} wal appends, {} checkpoints, {} replayed ops, \
          {} quarantine(s), {} degraded read(s)",
         c.wal_appends, c.checkpoints, c.replayed_ops, c.quarantines, c.degraded_reads
     );
@@ -132,9 +132,8 @@ fn main() {
         .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Eager)
         .config(cfg);
-    // Whole-system rebuild (`shard: None`) starts from the global base
-    // checkpoint and replays every durable op unfiltered — the per-shard
-    // cadence checkpoints hold single-shard images and are skipped.
+    // Recovery starts from the newest checkpoint — here the one the
+    // quarantine rebuild wrote — and replays the durable ops after it.
     let rebuilt = wal::rebuild_engine(&recovery, &log, None).expect("checkpoint + replay");
     println!(
         "recovered from checkpoint at seq {} + {} replayed op(s)",

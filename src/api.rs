@@ -239,7 +239,7 @@ impl From<crate::wal::WalError> for BuildError {
 /// Builder for a [`SimRank`] service handle.
 ///
 /// Defaults: [`EngineKind::IncSr`], [`ApplyPolicy::Auto`],
-/// [`SimRankConfig::paper_default`], 1 shard.
+/// [`SimRankConfig::paper_default`].
 ///
 /// # Examples
 /// ```
@@ -268,7 +268,6 @@ pub struct SimRankBuilder {
     auto_flush_rank: Option<usize>,
     compress_rank: Option<usize>,
     compress_tol: Option<f64>,
-    shard_count: usize,
     wal_path: Option<PathBuf>,
     checkpoint_every: Option<u64>,
     faults: Option<Arc<ApplyFaults>>,
@@ -294,7 +293,6 @@ impl SimRankBuilder {
             auto_flush_rank: None,
             compress_rank: None,
             compress_tol: None,
-            shard_count: 1,
             wal_path: None,
             checkpoint_every: None,
             faults: None,
@@ -373,21 +371,6 @@ impl SimRankBuilder {
         self
     }
 
-    /// Number of engine shards for the serving terminals
-    /// ([`Self::build_sharded`] / [`Self::concurrent`]); the node set is
-    /// block-partitioned across them (see [`crate::serve`]). Ignored by
-    /// the single-handle terminals ([`Self::from_graph`] and friends).
-    /// Default 1; 0 is clamped to 1.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shard_count = n.max(1);
-        self
-    }
-
-    /// The configured shard count (see [`Self::shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
     /// Runs the serving terminals ([`Self::build_sharded`] /
     /// [`Self::concurrent`]) **durably**: every accepted update is
     /// appended to a write-ahead log at `path` before it is applied, and
@@ -414,9 +397,9 @@ impl SimRankBuilder {
     /// Wires a scheduled mid-apply panic
     /// ([`crate::wal::faults::ApplyFaults`]) into every engine this
     /// builder constructs — the deterministic crash harness used by the
-    /// fault-injection tests. The schedule is shared across shards, so
-    /// "panic at the Nth op" means the Nth op applied anywhere in the
-    /// router.
+    /// fault-injection tests. The schedule is shared by every engine
+    /// built from this builder (clones included), so an engine rebuilt
+    /// after a quarantine continues the same countdown.
     pub fn fault_injection(mut self, faults: Arc<ApplyFaults>) -> Self {
         self.faults = Some(faults);
         self
@@ -470,13 +453,12 @@ impl SimRankBuilder {
             .unwrap_or(crate::serve::DEFAULT_CHECKPOINT_EVERY)
     }
 
-    /// Terminal: builds a [`ShardedSimRank`](crate::serve::ShardedSimRank)
-    /// router over [`Self::shards`] per-shard engines, batch-computing the
-    /// initial scores once and seeding every shard with them. Matrix-free
-    /// kinds skip the precomputation entirely (each shard just clones the
-    /// graph — no `n²` allocation anywhere on the path), and so does a
-    /// reopened non-empty [`Self::wal`], which rebuilds from its own
-    /// checkpoints.
+    /// Terminal: builds the serving write path
+    /// ([`ShardedSimRank`](crate::serve::ShardedSimRank)) around one
+    /// engine, batch-computing its initial scores. Matrix-free kinds skip
+    /// the precomputation entirely (no `n²` allocation anywhere on the
+    /// path), and so does a reopened non-empty [`Self::wal`], which
+    /// rebuilds from its own checkpoints.
     pub fn build_sharded(self, graph: DiGraph) -> Result<crate::serve::ShardedSimRank, BuildError> {
         let (cfg, matrix_free) = (self.cfg, self.kind.is_matrix_free());
         crate::serve::ShardedSimRank::build_internal(self, graph, |g| {
@@ -486,9 +468,8 @@ impl SimRankBuilder {
 
     /// Terminal: builds a
     /// [`ConcurrentSimRank`](crate::serve::ConcurrentSimRank) — the
-    /// single-writer/many-reader serving handle — over a sharded router
-    /// with [`Self::shards`] shards (1 shard is a perfectly good
-    /// concurrent single-engine handle).
+    /// single-writer/many-reader serving handle — over
+    /// [`Self::build_sharded`]'s write path.
     pub fn concurrent(self, graph: DiGraph) -> Result<crate::serve::ConcurrentSimRank, BuildError> {
         Ok(crate::serve::ConcurrentSimRank::new(
             self.build_sharded(graph)?,
@@ -516,17 +497,6 @@ impl SimRankBuilder {
     /// all, so for those engines the offered matrix is only shape-checked
     /// and then discarded.
     pub fn with_scores(self, graph: DiGraph, scores: DenseMatrix) -> Result<SimRank, BuildError> {
-        self.with_shared_scores(graph, Arc::new(scores))
-    }
-
-    /// [`Self::with_scores`] over a shared matrix: the engine copies it
-    /// only on its first write, so the sharded router seeds every shard
-    /// from one buffer.
-    pub(crate) fn with_shared_scores(
-        self,
-        graph: DiGraph,
-        scores: Arc<DenseMatrix>,
-    ) -> Result<SimRank, BuildError> {
         let n = graph.node_count();
         if scores.rows() != n || scores.cols() != n {
             return Err(BuildError::ShapeMismatch {
@@ -535,13 +505,13 @@ impl SimRankBuilder {
                 cols: scores.cols(),
             });
         }
-        let engine = self.make_engine(graph, Some(scores))?;
+        let engine = self.make_engine(graph, Some(Arc::new(scores)))?;
         Ok(SimRank::from_engine(engine, self))
     }
 
     /// Constructs the bare engine. `scores` of `None` means "compute if
-    /// the kind needs them" — the sharded router uses this so matrix-free
-    /// shards never see (or pay for) an `n²` buffer.
+    /// the kind needs them", so a matrix-free engine never sees (or pays
+    /// for) an `n²` buffer.
     pub(crate) fn make_engine(
         &self,
         graph: DiGraph,
@@ -619,11 +589,13 @@ pub struct ModeCounters {
     pub wal_appends: u64,
     /// Engine checkpoints embedded in the write-ahead log.
     pub checkpoints: u64,
-    /// Ops replayed from the log during recovery / shard rebuild.
+    /// Ops replayed from the log during recovery or a quarantine rebuild.
     pub replayed_ops: u64,
-    /// Shards quarantined after a mid-apply panic or a WAL failure.
+    /// Quarantines of the serving handle: each one a failed or panicking
+    /// engine apply. (A failed log append returns `ServeError::Wal` and
+    /// applies nothing, so it never quarantines.)
     pub quarantines: u64,
-    /// Reads served from a stale epoch view because the owning shard was
+    /// Reads served from a stale epoch view because the handle was
     /// quarantined (each one carried a typed `Degraded` status).
     pub degraded_reads: u64,
     /// Epochs demoted into the temporal ring at publish (each stored as a
@@ -637,8 +609,8 @@ pub struct ModeCounters {
 }
 
 impl ModeCounters {
-    /// Accumulates `other` into `self` — the aggregation the sharded
-    /// router uses so its counters stay meaningful across shards.
+    /// Accumulates `other` into `self`: field-wise sums, so counters from
+    /// several handles (or runs) combine into one tally.
     pub fn merge(&mut self, other: &ModeCounters) {
         self.eager_updates += other.eager_updates;
         self.fused_updates += other.fused_updates;

@@ -7,7 +7,7 @@
 //! incsim-cli topk     --state state.incsim -k 10
 //! incsim-cli query    --state state.incsim --node 42 -k 5
 //! incsim-cli query    --state state.incsim -a 3 -b 7
-//! incsim-cli serve    --state state.incsim --shards 4 --readers 4 --duration-ms 1000
+//! incsim-cli serve    --state state.incsim --readers 4 --duration-ms 1000
 //! incsim-cli serve    --state state.incsim --wal updates.wal --checkpoint-every 512
 //! incsim-cli recover  --wal updates.wal -o recovered.incsim
 //! incsim-cli wal-fault --wal updates.wal -o damaged.wal --fault torn --at 4096
@@ -63,7 +63,7 @@ commands:
   query      pair score or per-node ranking
              --state STATE (-a A -b B | --node V [-k 5])
   serve      multi-threaded query benchmark over the concurrent serving layer
-             --state STATE [--shards N] [--readers R] [--duration-ms D]
+             --state STATE [--readers R] [--duration-ms D]
              [--batch B] [--publish-every P] [--retain-epochs E]
              [--wal FILE] [--checkpoint-every N]
              [--algorithm incsr|incusr|incsvd|naive|probe] [--mode auto|eager|fused|lazy]
@@ -71,15 +71,15 @@ commands:
              (--wal with --retain-epochs > 1 restores the epoch ring on restart)
   epochs     list the retained epoch ring (driven or recovered)
              (--state STATE --ops FILE | --wal FILE) [--retain-epochs E]
-             [--publish-every P] [--shards N]
+             [--publish-every P]
              [--algorithm incsr|incusr|incsvd|naive|probe]
              [--mode auto|eager|fused|lazy]
   diff       top score movers between two retained epochs (time-travel diff)
              (--state STATE --ops FILE | --wal FILE) [--e1 SEQ] [--e2 SEQ]
-             [-k 10] [--retain-epochs E] [--publish-every P] [--shards N]
+             [-k 10] [--retain-epochs E] [--publish-every P]
              [--algorithm incsr|incusr|incsvd|naive] [--mode auto|eager|fused|lazy]
   recover    rebuild a state file from a write-ahead log (checkpoint + replay)
-             --wal FILE -o STATE [--shard N] [--retain-epochs E]
+             --wal FILE -o STATE [--retain-epochs E]
              [--algorithm incsr|incusr|incsvd|naive] [--mode auto|eager|fused|lazy]
              (--retain-epochs > 1 additionally reports the persisted epoch ring)
   wal-fault  damage a copy of a write-ahead log (fault-injection harness)
@@ -435,7 +435,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// `serve` — load a state, stand up the sharded concurrent serving layer,
+/// `serve` — load a state, stand up the concurrent serving layer,
 /// and hammer it with [`incsim::serve::drive_load`] (the same harness
 /// behind the `concurrent_throughput` bench case): `--readers` threads
 /// answer batched **pair** queries from epoch snapshots while a
@@ -445,7 +445,6 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
 /// machine (ranked queries cost `O(n log k)` each; budget accordingly).
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let snap = open_state(flags)?;
-    let shards: usize = flags.num(&["--shards"], 1usize)?;
     let readers: usize = flags.num(&["--readers"], incsim::serve::serve_threads())?;
     let duration_ms: u64 = flags.num(&["--duration-ms"], 1000u64)?;
     let batch: usize = flags.num(&["--batch"], 8usize)?;
@@ -465,7 +464,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         SimRankBuilder::new()
             .algorithm(algorithm)
             .mode(policy)
-            .shards(shards)
             .retain_epochs(retain.max(1))
             .config(snap.config),
         flags,
@@ -481,32 +479,25 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         }
         builder = builder.checkpoint_every(checkpoint_every);
     }
-    let sharded = incsim::serve::ShardedSimRank::with_scores(builder, snap.graph, snap.scores)
+    let handle = incsim::serve::ShardedSimRank::with_scores(builder, snap.graph, snap.scores)
         .map_err(|e| e.to_string())?;
     if let Some(path) = wal_path {
         // A non-empty log overrides the supplied state: the durable
         // trajectory is authoritative over whatever file the caller passed.
         println!(
             "durable: write-ahead log at {path}, recovered to seq {}",
-            sharded.last_seq()
+            handle.last_seq()
         );
     }
-    let mut serving = incsim::serve::ConcurrentSimRank::new(sharded);
+    let mut serving = incsim::serve::ConcurrentSimRank::new(handle);
     if wal_path.is_some() && retain > 1 {
         println!("epoch history: {}", history_line(serving.history_status()));
     }
     println!(
-        "serving n = {n} via {} across {} shard(s); {readers} reader thread(s), \
+        "serving n = {n} via {}; {readers} reader thread(s), \
          writer batches of {batch}, publish every {publish_every} batch(es)",
-        serving.sharded().shard(0).engine_name(),
-        serving.sharded().shard_count()
+        serving.sharded().engine().engine_name(),
     );
-    if serving.sharded().shard_count() > 1 {
-        println!(
-            "note: with > 1 shard, cross-shard exactness holds for component-aligned \
-             partitions (see the incsim::serve docs); this benchmark measures throughput"
-        );
-    }
 
     let report = incsim::serve::drive_load(
         &mut serving,
@@ -515,7 +506,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             duration: std::time::Duration::from_millis(duration_ms),
             write_batch: batch,
             publish_every,
-            writer_threads: incsim::serve::serve_threads(),
             seed: 0xC0FFEE,
         },
     )
@@ -564,7 +554,6 @@ fn history_line(status: incsim::serve::HistoryStatus) -> String {
 /// state and applies the ops file in `--publish-every` sized published
 /// chunks against a retention-enabled serving handle.
 fn drive_ring(flags: &Flags) -> Result<incsim::serve::ConcurrentSimRank, String> {
-    let shards_flag: usize = flags.num(&["--shards"], 1usize)?;
     if let Some(wal_path) = flags.get(&["--wal"]) {
         let retain: usize = flags.num(&["--retain-epochs"], 4usize)?.max(2);
         // Validate before attaching: attaching truncates torn tails, so
@@ -580,13 +569,12 @@ fn drive_ring(flags: &Flags) -> Result<incsim::serve::ConcurrentSimRank, String>
             SimRankBuilder::new()
                 .algorithm(algorithm)
                 .mode(policy)
-                .shards(shards_flag)
                 .retain_epochs(retain)
                 .wal(wal_path),
             flags,
         )?;
-        // The log overrides the placeholder graph: geometry, config and
-        // scores all come from the recovered trajectory.
+        // The log overrides the placeholder graph: config and scores both
+        // come from the recovered trajectory.
         let serving = builder
             .concurrent(DiGraph::new(0))
             .map_err(|e| format!("cannot recover {wal_path}: {e}"))?;
@@ -609,7 +597,6 @@ fn drive_ring(flags: &Flags) -> Result<incsim::serve::ConcurrentSimRank, String>
         return Err(format!("{ops_path} holds no ops; nothing to retain"));
     }
 
-    let shards: usize = flags.num(&["--shards"], 1usize)?;
     let retain: usize = flags.num(&["--retain-epochs"], 4usize)?.max(2);
     // Default chunking spreads the stream across the whole ring.
     let publish_every: usize = flags
@@ -622,14 +609,13 @@ fn drive_ring(flags: &Flags) -> Result<incsim::serve::ConcurrentSimRank, String>
         SimRankBuilder::new()
             .algorithm(algorithm)
             .mode(policy)
-            .shards(shards)
             .retain_epochs(retain)
             .config(snap.config),
         flags,
     )?;
-    let sharded = incsim::serve::ShardedSimRank::with_scores(builder, snap.graph, snap.scores)
+    let handle = incsim::serve::ShardedSimRank::with_scores(builder, snap.graph, snap.scores)
         .map_err(|e| e.to_string())?;
-    let mut serving = incsim::serve::ConcurrentSimRank::new(sharded);
+    let mut serving = incsim::serve::ConcurrentSimRank::new(handle);
     serving.publish();
     for chunk in ops.chunks(publish_every) {
         serving
@@ -703,20 +689,12 @@ fn cmd_diff(flags: &Flags) -> Result<(), String> {
 }
 
 /// `recover` — rebuild a state file from a durable write-ahead log. The
-/// reader truncates any torn tail, starts from the newest usable
-/// checkpoint (a per-shard one when `--shard` is given, the global base
-/// otherwise) and replays the op suffix on top; the result is written as
-/// an ordinary state file any other command can open.
+/// reader stops at any torn tail, starts from the newest checkpoint and
+/// replays the op suffix on top; the result is written as an ordinary
+/// state file any other command can open.
 fn cmd_recover(flags: &Flags) -> Result<(), String> {
     let wal_path = flags.req(&["--wal"])?;
     let out = flags.req(&["-o", "--output"])?;
-    let shard: Option<u32> = match flags.get(&["--shard"]) {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("bad --shard value {raw:?}"))?,
-        ),
-    };
     let algorithm = parse_algorithm(flags.get(&["--algorithm"]))?;
     let policy = parse_mode(flags.get(&["--mode"]))?;
     if algorithm.is_matrix_free() {
@@ -764,17 +742,13 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
             ),
         }
     }
-    let rebuilt = incsim::wal::rebuild_engine(&builder, &log, shard).map_err(|e| e.to_string())?;
+    let rebuilt = incsim::wal::rebuild_engine(&builder, &log, None).map_err(|e| e.to_string())?;
     println!(
-        "recovered to seq {} via {}: checkpoint at seq {}, {} op(s) replayed{}",
+        "recovered to seq {} via {}: checkpoint at seq {}, {} op(s) replayed",
         rebuilt.last_seq,
         rebuilt.sim.engine_name(),
         rebuilt.checkpoint_seq,
         rebuilt.replayed_ops,
-        match shard {
-            Some(s) => format!(" (shard {s} only)"),
-            None => String::new(),
-        }
     );
     let mut sim = rebuilt.sim;
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
@@ -1125,8 +1099,6 @@ mod tests {
             "serve",
             "--state",
             state_path.to_str().unwrap(),
-            "--shards",
-            "2",
             "--readers",
             "2",
             "--duration-ms",
@@ -1136,15 +1108,13 @@ mod tests {
         ]))
         .unwrap();
         // The matrix-free probe engine serves from the same checkpoint (the
-        // stored scores are ignored; shards rebuild samplers from the graph).
+        // stored scores are ignored; the engine samples from the graph).
         run(&to_args(&[
             "serve",
             "--state",
             state_path.to_str().unwrap(),
             "--algorithm",
             "probe",
-            "--shards",
-            "2",
             "--readers",
             "2",
             "--duration-ms",

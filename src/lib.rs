@@ -50,7 +50,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`api`] | `incsim` (this crate) | the service layer: builder, handle, apply policies |
-//! | [`serve`] | `incsim` (this crate) | the serving layer: sharded router, concurrent epoch reads |
+//! | [`serve`] | `incsim` (this crate) | the serving layer: one engine behind a durable write path, concurrent epoch reads |
 //! | [`wal`] | `incsim` (this crate) | durability: write-ahead log, crash recovery, fault injection |
 //! | [`codec`] | `incsim-codec` | shared binary codec: CRC32 framing, LE/varint primitives, record envelopes |
 //! | [`linalg`] | `incsim-linalg` | dense/sparse matrices, QR, SVD, LU, Stein solver |

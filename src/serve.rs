@@ -1,77 +1,46 @@
-//! The `incsim` **serving layer**: shard the node set across engines,
-//! serve reads from immutable epoch snapshots.
+//! The `incsim` **serving layer**: one engine behind a durable write
+//! path, reads from immutable epoch snapshots.
 //!
 //! The [`crate::api::SimRank`] handle is the single-node service surface;
-//! this module is the scaling step on top of it, in two composable
+//! this module is the serving step on top of it, in two composable
 //! pieces:
 //!
-//! * [`ShardedSimRank`] — a **router** over `N` per-shard engines (each
-//!   its own `Box<dyn SimRankMaintainer + Send>` behind a
-//!   [`SimRank`] handle, built by the same
-//!   [`SimRankBuilder`]). The node set is block-partitioned; updates are
-//!   routed to the shard(s) owning their endpoints, queries to the shard
-//!   owning the query node. [`ApplyPolicy`](crate::api::ApplyPolicy)
-//!   (including `Auto`) keeps working independently per shard, and batch
-//!   updates fan out across shards in parallel.
+//! * [`ShardedSimRank`] — the **write path** around one engine (a
+//!   [`SimRank`] handle built by the same [`SimRankBuilder`]): every
+//!   update is validated against the handle's authoritative graph,
+//!   logged ahead when durable, and applied under panic containment.
+//!   [`ApplyPolicy`](crate::api::ApplyPolicy) (including `Auto`) works
+//!   unchanged. Update-side parallelism lives inside the engine: its
+//!   fused sweeps and the batch kernel split rows over `INCSIM_THREADS`
+//!   workers. (The type keeps the name it had when it routed across
+//!   several engines, so existing callers compile unchanged.)
 //! * [`ConcurrentSimRank`] — a **single-writer / many-reader** wrapper:
 //!   readers query an immutable epoch snapshot ([`Epoch`], an
-//!   `Arc`-parked [`SnapshotQuery`] handle per shard — a frozen score
-//!   matrix for dense engines, a frozen graph for the probe engine)
-//!   through cloneable
-//!   [`EpochReader`] handles, while the one writer applies updates and
-//!   [publishes](ConcurrentSimRank::publish) new epochs. Readers never
-//!   block the writer and never observe a half-applied update: a reader
-//!   holds one coherent epoch for as long as it likes.
+//!   `Arc`-parked [`SnapshotQuery`] handle — a frozen score matrix for
+//!   dense engines, a frozen graph for the probe engine) through
+//!   cloneable [`EpochReader`] handles, while the one writer applies
+//!   updates and [publishes](ConcurrentSimRank::publish) new epochs.
+//!   Readers never block the writer and never observe a half-applied
+//!   update: a reader holds one coherent epoch for as long as it likes.
 //!
-//! ## Partitioning and the exactness contract
-//!
-//! Nodes are partitioned into contiguous blocks by id: with `n₀` nodes at
-//! build time and `S` shards, shard `s` owns ids
-//! `[s·⌈n₀/S⌉, (s+1)·⌈n₀/S⌉)` (the last shard also owns any ids appended
-//! later via [`ShardedSimRank::add_node`]). Every shard engine spans the
-//! **full** node set — partitioning routes *work*, not matrix indices —
-//! and is seeded with the same batch-computed initial scores — one shared
-//! buffer that each shard copies on its first write (matrix-free shards
-//! skip the batch solve and hold only the graph).
-//!
-//! Routing rules:
-//!
-//! * an edge update `(i, j)` is applied to `owner(i)` and `owner(j)`
-//!   (once, when they coincide);
-//! * a pair query `s(a, b)` is answered by `owner(min(a, b))` — both
-//!   orders of the same pair hit the same shard, so
-//!   `pair(a, b) == pair(b, a)` holds **exactly**, always;
-//! * per-node queries (`single_source`, `top_k`, `similar_above`) are
-//!   answered by `owner(a)`.
-//!
-//! **Contract.** Each shard engine is *exact for the update stream it
-//! receives* — the initial graph plus every update touching a node it
-//! owns. Its answers therefore equal global SimRank exactly whenever the
-//! updates it did **not** see cannot influence the scores it serves; the
-//! clean sufficient condition is a **component-aligned partition**: every
-//! weakly-connected component of the evolving graph stays within one
-//! shard's ownership block (SimRank between nodes of different components
-//! is identically 0, and no in-link path crosses components). The
-//! conformance suite and the `concurrent_throughput` bench drive exactly
-//! such workloads and hold the router to ≤ 1e-12 of batch recomputation.
-//! For partitions that split a component, per-shard answers are exact
-//! SimRank *of the shard's observed subgraph* — a documented
-//! approximation (each missed remote update perturbs scores by at most
-//! `C^d` at in-link distance `d`), not silent corruption; align the
-//! partition when exactness across the cut matters.
+//! Every answer is the engine's own: the handle adds no approximation,
+//! so a dense engine's epoch reads match [`SimRank`] on the same update
+//! stream exactly. Pair reads use the canonical `(min, max)` argument
+//! order, so `pair(a, b) == pair(b, a)` holds bit-for-bit (the engine
+//! matrix itself is only symmetric up to rounding).
 //!
 //! ## Epoch semantics
 //!
 //! [`ConcurrentSimRank`] decouples reads from writes with epochs:
 //!
-//! * the writer mutates shard engines freely; **readers are unaffected**
+//! * the writer mutates the engine freely; **readers are unaffected**
 //!   (they hold the previously published epoch);
-//! * [`ConcurrentSimRank::publish`] freezes every shard's current
+//! * [`ConcurrentSimRank::publish`] freezes the engine's current
 //!   `S_base + Δ` into a new [`Epoch`] and swaps it in atomically
 //!   (readers pick it up on their next [`EpochReader::epoch`] call);
-//! * a dense shard's epoch **shares** the engine's score matrix rather
-//!   than copying it: publishing costs a pointer clone, and the engine
-//!   copies the matrix only when it next writes to it (copy-on-write; see
+//! * a dense engine's epoch **shares** its score matrix rather than
+//!   copying it: publishing costs a pointer clone, and the engine copies
+//!   the matrix only when it next writes to it (copy-on-write; see
 //!   [`MatrixAccess`](crate::core::MatrixAccess)). Steady state is
 //!   therefore the engine's head matrix plus the one epoch readers can
 //!   see, and each epoch a reader keeps pinned holds one more;
@@ -87,29 +56,27 @@
 //!
 //! ## Durability and crash containment
 //!
-//! A router built with [`SimRankBuilder::wal`] is **durable**: every
+//! A handle built with [`SimRankBuilder::wal`] is **durable**: every
 //! accepted op is appended (write-ahead) to an [`crate::wal`] log before
-//! any engine applies it, with periodic full-image checkpoints on the
+//! the engine applies it, with periodic full-image checkpoints on the
 //! [`SimRankBuilder::checkpoint_every`] cadence
 //! ([`DEFAULT_CHECKPOINT_EVERY`]). Re-opening the same log rebuilds the
-//! router exactly where the crashed process stopped — checkpoint +
-//! shard-filtered replay, torn tails truncated, see the [`crate::wal`]
-//! docs for the recovery contract.
+//! handle exactly where the crashed process stopped — newest checkpoint
+//! plus replay, torn tails truncated, see the [`crate::wal`] docs for the
+//! recovery contract.
 //!
-//! Failures inside one shard are **contained**, durable or not: each
-//! shard's apply runs under `catch_unwind`, so a panicking engine
-//! quarantines that shard ([`ShardHealth::Quarantined`]) instead of
-//! killing the process. While quarantined:
+//! Engine failures are **contained**, durable or not: every apply runs
+//! under `catch_unwind`, so a panicking engine quarantines the handle
+//! ([`Health::Quarantined`]) instead of killing the process. While
+//! quarantined:
 //!
-//! * writes routing to the shard are rejected with the retryable
-//!   [`ServeError::Quarantined`] (bounded backoff hint attached);
-//!   writes on healthy shards keep flowing;
+//! * writes are rejected with the retryable [`ServeError::Quarantined`]
+//!   (bounded backoff hint attached);
 //! * checked reads return [`ServeError::Degraded`]; epoch readers keep
-//!   being served the shard's last **published** view, marked
-//!   [`ReadStatus::Degraded`] — a shard crash never takes reads down;
-//! * [`ShardedSimRank::rebuild_shard`] restores the shard from
-//!   checkpoint + replay (or batch recompute without a WAL) and lifts
-//!   the quarantine.
+//!   being served the last **published** epoch, marked
+//!   [`ReadStatus::Degraded`] — an engine crash never takes reads down;
+//! * [`ShardedSimRank::rebuild`] restores the engine from checkpoint +
+//!   replay (or batch recompute without a WAL) and lifts the quarantine.
 //!
 //! [`SimRankBuilder::wal`]: crate::api::SimRankBuilder::wal
 //! [`SimRankBuilder::checkpoint_every`]: crate::api::SimRankBuilder::checkpoint_every
@@ -124,7 +91,6 @@
 //! let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
 //! let mut serving = SimRankBuilder::new()
 //!     .config(SimRankConfig::new(0.6, 10).unwrap())
-//!     .shards(2)
 //!     .concurrent(g)
 //!     .unwrap();
 //!
@@ -150,15 +116,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
-/// Default checkpoint cadence of a durable router: a full engine image is
+/// Default checkpoint cadence of a durable handle: a full engine image is
 /// embedded in the WAL after every this many logged ops (override with
 /// [`SimRankBuilder::checkpoint_every`]).
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
 
-/// The backoff hint attached to writes rejected because their shard is
-/// quarantined: callers should wait at least this long (rebuilding takes
-/// one checkpoint decode + replay) before retrying or give up to a
-/// different replica.
+/// The backoff hint attached to writes rejected because the handle is
+/// quarantined: callers should wait at least this long before retrying —
+/// a [`ShardedSimRank::rebuild`] takes one checkpoint decode plus replay.
 pub const QUARANTINE_RETRY_AFTER: Duration = Duration::from_millis(50);
 
 /// Default spectral tolerance for the factor-compressed per-epoch deltas the
@@ -171,43 +136,36 @@ pub const DEFAULT_EPOCH_DELTA_TOL: f64 = 1e-14;
 /// Errors from the serving layer's write and checked-read paths.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The op itself is invalid, or an engine failed it (routed through
-    /// from the shard engines / validation).
+    /// The op itself is invalid, or the engine failed it (routed through
+    /// from the engine / validation).
     Update(UpdateError),
     /// The write-ahead log rejected the append — write-ahead ordering
     /// means nothing was applied.
     Wal(WalError),
-    /// The write routes to a quarantined shard and was applied **nowhere**;
-    /// retryable after `retry_after` (rebuild the shard first, or wait for
-    /// an operator to).
+    /// The handle is quarantined and the write was applied **nowhere**;
+    /// retryable after `retry_after` (rebuild first, or wait for an
+    /// operator to).
     Quarantined {
-        /// The quarantined shard.
-        shard: usize,
-        /// Log sequence number at which it was quarantined.
+        /// Log sequence number at which the handle was quarantined.
         since_seq: u64,
         /// Bounded backoff hint.
         retry_after: Duration,
     },
-    /// A shard worker panicked mid-apply. The panicking shard is now
-    /// quarantined; every *healthy* shard's application and the router
-    /// graph **did commit** (the batch is in the log, so the quarantined
-    /// shard recovers it on rebuild).
-    ShardPanicked {
-        /// The shard that panicked.
-        shard: usize,
-        /// Log sequence number at which it was quarantined.
+    /// The engine panicked mid-apply. The handle is now quarantined; the
+    /// op(s) did commit to the log and the authoritative graph, so the
+    /// rebuild recovers them.
+    Panicked {
+        /// Log sequence number at which the handle was quarantined.
         since_seq: u64,
     },
-    /// A shard rebuild failed to reconstruct its engine.
+    /// A rebuild failed to reconstruct the engine.
     Build(BuildError),
-    /// A checked read routed to a quarantined shard: the live engine is
-    /// not trustworthy, so no fresh answer exists. Epoch readers keep
-    /// being served the last published state with a
-    /// [`ReadStatus::Degraded`] marker instead.
+    /// A checked read on a quarantined handle: the live engine is not
+    /// trustworthy, so no fresh answer exists. Epoch readers keep being
+    /// served the last published state with a [`ReadStatus::Degraded`]
+    /// marker instead.
     Degraded {
-        /// The quarantined shard.
-        shard: usize,
-        /// Log sequence number at which it was quarantined.
+        /// Log sequence number at which the handle was quarantined.
         since_seq: u64,
     },
     /// The requested epoch is not the head and not in the retention ring —
@@ -217,22 +175,20 @@ pub enum ServeError {
         /// The requested epoch sequence number.
         seq: u64,
     },
-    /// The query needs dense per-epoch score deltas, but at least one shard
-    /// in the requested range is matrix-free (retained by graph replay, not
-    /// factor deltas), so the cross-epoch scan cannot run.
+    /// The query needs dense per-epoch score deltas, but the engine is
+    /// matrix-free (retained by graph replay, not factor deltas), so the
+    /// cross-epoch scan cannot run.
     MatrixFree {
         /// The query that was refused.
         query: &'static str,
     },
-    /// The delta chain from the requested epoch to the head is broken for
-    /// one shard: a quarantine (or other non-delta retention) interrupted
-    /// the factor-compressed chain, so that epoch's shard view cannot be
-    /// reconstructed by stacking deltas.
+    /// The delta chain from the requested epoch to the head is broken: a
+    /// quarantine (or other non-delta retention) interrupted the
+    /// factor-compressed chain, so that epoch cannot be reconstructed by
+    /// stacking deltas.
     EpochChainBroken {
         /// The requested epoch sequence number.
         seq: u64,
-        /// The shard whose chain is interrupted.
-        shard: usize,
     },
     /// The requested epoch was published before this process incarnation
     /// and the log could not restore it — it predates epoch-ring
@@ -243,8 +199,8 @@ pub enum ServeError {
         /// Why the pre-crash history is gone.
         reason: &'static str,
     },
-    /// An internal router invariant failed. This reports a bug, not an
-    /// operational state — the router refuses the broken path with a
+    /// An internal serving invariant failed. This reports a bug, not an
+    /// operational state — the handle refuses the broken path with a
     /// typed error instead of panicking mid-serve (every panic in this
     /// module is a quarantine event, never a crash).
     Internal(&'static str),
@@ -256,23 +212,22 @@ impl std::fmt::Display for ServeError {
             ServeError::Update(e) => write!(f, "{e}"),
             ServeError::Wal(e) => write!(f, "durable write failed: {e}"),
             ServeError::Quarantined {
-                shard,
                 since_seq,
                 retry_after,
             } => write!(
                 f,
-                "shard {shard} is quarantined (since seq {since_seq}); \
-                 retry after {retry_after:?} or rebuild_shard({shard})"
+                "the engine is quarantined (since seq {since_seq}); \
+                 retry after {retry_after:?} or rebuild()"
             ),
-            ServeError::ShardPanicked { shard, since_seq } => write!(
+            ServeError::Panicked { since_seq } => write!(
                 f,
-                "shard {shard} panicked mid-apply and is quarantined (seq {since_seq}); \
-                 healthy shards committed"
+                "the engine panicked mid-apply and is quarantined (seq {since_seq}); \
+                 the op is logged and the rebuild recovers it"
             ),
-            ServeError::Build(e) => write!(f, "shard rebuild failed: {e}"),
-            ServeError::Degraded { shard, since_seq } => write!(
+            ServeError::Build(e) => write!(f, "engine rebuild failed: {e}"),
+            ServeError::Degraded { since_seq } => write!(
                 f,
-                "shard {shard} is quarantined (since seq {since_seq}); \
+                "the engine is quarantined (since seq {since_seq}); \
                  no fresh answer — epoch readers serve the last published state"
             ),
             ServeError::NoSuchEpoch { seq } => write!(
@@ -281,11 +236,11 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::MatrixFree { query } => write!(
                 f,
-                "{query} needs dense per-epoch deltas; a shard in range is matrix-free"
+                "{query} needs dense per-epoch deltas; the engine is matrix-free"
             ),
-            ServeError::EpochChainBroken { seq, shard } => write!(
+            ServeError::EpochChainBroken { seq } => write!(
                 f,
-                "delta chain to epoch {seq} is broken at shard {shard} \
+                "delta chain to epoch {seq} is broken \
                  (a quarantine interrupted factor-delta retention)"
             ),
             ServeError::HistoryUnavailable { reason } => {
@@ -318,26 +273,26 @@ impl From<BuildError> for ServeError {
     }
 }
 
-/// Liveness of one shard engine.
+/// Liveness of the serving handle's engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardHealth {
+pub enum Health {
     /// Serving normally.
     Healthy,
-    /// A mid-apply panic (or engine error) left this shard's engine in an
-    /// untrusted state: writes to it are rejected, checked reads report
-    /// [`ServeError::Degraded`], epochs freeze its last published view.
-    /// [`ShardedSimRank::rebuild_shard`] restores it.
+    /// A mid-apply panic (or engine error) left the engine in an
+    /// untrusted state: writes are rejected, checked reads report
+    /// [`ServeError::Degraded`], epochs freeze the last published view.
+    /// [`ShardedSimRank::rebuild`] restores it.
     Quarantined {
         /// Log sequence number at quarantine time.
         since_seq: u64,
     },
 }
 
-/// Why an epoch read of a quarantined shard is stale — attached to the
-/// epoch at publish time.
+/// Why an epoch read is stale — attached to an epoch published while the
+/// handle was quarantined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradedInfo {
-    /// Log sequence number at which the owning shard was quarantined.
+    /// Log sequence number at which the handle was quarantined.
     pub since_seq: u64,
     /// Node count of the frozen view; ids appended after the quarantine
     /// read as 0.0 (no similarity evidence ever reached the frozen view).
@@ -345,21 +300,19 @@ pub struct DegradedInfo {
 }
 
 /// Freshness of an epoch read — [`ReadStatus::Degraded`] answers come
-/// from the last epoch published before the owning shard was quarantined.
+/// from the last epoch published before the handle was quarantined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadStatus {
-    /// Served from the shard's current published state.
+    /// Served from the engine's current published state.
     Fresh,
     /// Served from the stale pre-quarantine view.
     Degraded {
-        /// The quarantined shard.
-        shard: usize,
-        /// Log sequence number at which it was quarantined.
+        /// Log sequence number at which the handle was quarantined.
         since_seq: u64,
     },
 }
 
-/// The all-zeros fallback view for a shard quarantined before any epoch
+/// The all-zeros fallback view for a handle quarantined before any epoch
 /// of it was published (SimRank of an unknown state: no evidence, 0.0).
 #[derive(Debug)]
 struct ZeroView;
@@ -390,25 +343,12 @@ impl SnapshotQuery for ZeroView {
     }
 }
 
-/// Worker count for the serving layer's parallel paths (per-shard batch
-/// dispatch, reader pools in the harnesses): `INCSIM_THREADS` when set,
-/// otherwise the host parallelism — same knob as the fused apply.
+/// Reader-thread count for the serving harnesses ([`drive_load`]
+/// callers, the conformance tests, `incsim-cli serve`):
+/// `INCSIM_THREADS` when set, otherwise the host parallelism — the same
+/// knob the engine's fused sweeps follow.
 pub fn serve_threads() -> usize {
     crate::linalg::lowrank::default_threads()
-}
-
-/// A substitute panic payload for every shard of a group whose *worker
-/// thread* died outside the per-shard `catch_unwind` (the one payload
-/// cannot be cloned per shard). Carries the original message when it was
-/// a string, so quarantine diagnostics stay useful.
-fn clone_panic(payload: &(dyn std::any::Any + Send)) -> Box<dyn std::any::Any + Send> {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        Box::new(*s)
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        Box::new(s.clone())
-    } else {
-        Box::new("group worker panicked outside the per-shard catch_unwind")
-    }
 }
 
 /// Raises a stop flag when dropped — **including on panic unwind**.
@@ -427,78 +367,19 @@ impl Drop for RaiseOnDrop<'_> {
     }
 }
 
-/// The block partition of node ids across shards (see the
-/// [module docs](self) for the ownership rules and exactness contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPartition {
-    shards: usize,
-    block: usize,
-}
-
-impl ShardPartition {
-    /// Partitions `n` initial nodes across `shards` contiguous blocks
-    /// (`shards` is clamped to ≥ 1; a shard count above `n` leaves the
-    /// high shards owning no nodes, which is legal).
-    pub fn new(n: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardPartition {
-            shards,
-            block: n.div_ceil(shards).max(1),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The block size: `owner(x) = min(x / block, shards - 1)`. Stored in
-    /// WAL checkpoint records so shard-filtered replay uses the partition
-    /// geometry the ops were routed under.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-
-    /// The shard owning node `v`. Ids past the initial range (appended
-    /// nodes) fall to the last shard.
-    pub fn owner(&self, v: u32) -> usize {
-        (v as usize / self.block).min(self.shards - 1)
-    }
-
-    /// The shard answering pair queries on `{a, b}`: the owner of the
-    /// smaller id, so both argument orders route identically and pair
-    /// symmetry is structural.
-    pub fn pair_owner(&self, a: u32, b: u32) -> usize {
-        self.owner(a.min(b))
-    }
-
-    /// The contiguous id range shard `s` owns in an `n`-node graph
-    /// (possibly empty when `s` exceeds the populated blocks; the last
-    /// shard also owns every id appended past the initial range).
-    pub fn owned_block(&self, s: usize, n: usize) -> std::ops::Range<u32> {
-        let start = (s * self.block).min(n) as u32;
-        let end = if s + 1 == self.shards {
-            n as u32
-        } else {
-            ((s + 1) * self.block).min(n) as u32
-        };
-        start..end.max(start)
-    }
-}
-
 /// What recovery learned about the pre-crash temporal epoch ring,
-/// stashed on the router for [`ConcurrentSimRank::new`] to consume (the
-/// router itself has no ring — the concurrent wrapper owns it).
+/// stashed on the handle for [`ConcurrentSimRank::new`] to consume (the
+/// write path itself has no ring — the concurrent wrapper owns it).
 enum PendingHistory {
     /// A complete persisted ring round was recovered: the meta trailer,
-    /// its delta records, per matrix shard the dense scores decoded from
-    /// that round's checkpoint images (the base the post-checkpoint
-    /// replay suffix is diffed against), and the unfiltered op suffix
-    /// committed after the round's checkpoint.
+    /// its delta records, the dense scores decoded from that round's
+    /// checkpoint image (the base the post-checkpoint replay suffix is
+    /// diffed against; `None` for a matrix-free engine), and the op
+    /// suffix committed after the round's checkpoint.
     Ring {
-        meta: wal::EpochMetaRecord,
+        meta: Box<wal::EpochMetaRecord>,
         deltas: Vec<wal::EpochDeltaRecord>,
-        cp_scores: Vec<Option<DenseMatrix>>,
+        cp_scores: Option<DenseMatrix>,
         suffix_ops: Vec<ReplayOp>,
     },
     /// No usable ring in the log: recover head-only. `floor` is the
@@ -508,22 +389,22 @@ enum PendingHistory {
     Unavailable { reason: &'static str, floor: u64 },
 }
 
-/// A router over `N` per-shard engines: same service surface as
-/// [`SimRank`], scaled across shards. Build with
-/// [`SimRankBuilder::shards`] + [`SimRankBuilder::build_sharded`].
+/// The write path of the serving layer: one engine behind validation,
+/// the write-ahead log and panic containment, with the same service
+/// surface as [`SimRank`]. Build with
+/// [`SimRankBuilder::build_sharded`](crate::api::SimRankBuilder::build_sharded)
+/// or [`Self::with_scores`].
 ///
-/// The router keeps the authoritative global graph; updates are validated
-/// against it *before* touching any shard, so an invalid op (duplicate
+/// The handle keeps the authoritative graph; updates are validated
+/// against it *before* the engine moves, so an invalid op (duplicate
 /// insert, missing delete, node out of range) is rejected atomically and
-/// a batch is all-or-nothing. See the [module docs](self) for routing and
-/// exactness.
+/// a batch is all-or-nothing. See the [module docs](self).
 pub struct ShardedSimRank {
-    shards: Vec<SimRank>,
-    partition: ShardPartition,
+    engine: SimRank,
     graph: DiGraph,
-    /// The builder the shards were made from — rebuilds reuse it.
+    /// The builder the engine was made from — rebuilds reuse it.
     builder: SimRankBuilder,
-    health: Vec<ShardHealth>,
+    health: Health,
     wal: Option<Wal>,
     checkpoint_every: u64,
     /// Highest op sequence number accepted (matches the WAL's when one is
@@ -541,10 +422,9 @@ pub struct ShardedSimRank {
 }
 
 impl ShardedSimRank {
-    /// Builds the router from a builder, a graph, and pre-computed scores
-    /// (every shard shares the one matrix until its first write;
-    /// [`EngineKind::IncSvd`] shards derive their own factorisation as
-    /// usual, and matrix-free kinds ignore the matrix — prefer
+    /// Builds the handle from a builder, a graph, and pre-computed scores
+    /// ([`EngineKind::IncSvd`] derives its own factorisation as usual, and
+    /// matrix-free kinds ignore the matrix — prefer
     /// [`SimRankBuilder::build_sharded`](crate::api::SimRankBuilder::build_sharded)
     /// for those, which never allocates it in the first place).
     ///
@@ -558,22 +438,20 @@ impl ShardedSimRank {
     }
 
     /// Shared construction. `scores` yields the initial matrix, or `None`
-    /// to let each shard build on its own (matrix-free shards never see an
-    /// `n²` buffer). Every matrix shard gets a pointer to the one matrix
-    /// and copies it only on its first write. `scores` runs only once the
-    /// write-ahead log, if any, is found empty: a non-empty log rebuilds
-    /// every shard from its own checkpoints, so a precompute there would
-    /// be thrown away.
+    /// to let the engine build on its own (a matrix-free engine never
+    /// sees an `n²` buffer). `scores` runs only once the write-ahead log,
+    /// if any, is found empty: a non-empty log rebuilds the engine from
+    /// its newest checkpoint, so a precompute there would be thrown away.
     pub(crate) fn build_internal(
         builder: SimRankBuilder,
         graph: DiGraph,
         scores: impl FnOnce(&DiGraph) -> Option<DenseMatrix>,
     ) -> Result<Self, BuildError> {
-        // Durable routers attach the write-ahead log first: an existing
+        // Durable handles attach the write-ahead log first: an existing
         // non-empty log is the authoritative history and *overrides* the
         // supplied graph (`serve --wal` reopens exactly where the crashed
         // process stopped); a fresh log records the supplied state as its
-        // global base checkpoint.
+        // base checkpoint.
         let mut wal = None;
         if let Some(path) = builder.wal_path() {
             let (w, recovered) = Wal::open_or_create(path)?;
@@ -583,227 +461,143 @@ impl ShardedSimRank {
             wal = Some(w);
         }
 
-        let shard_count = builder.shard_count();
-        let partition = ShardPartition::new(graph.node_count(), shard_count);
-        let scores = scores(&graph).map(Arc::new);
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let b = builder.clone();
-            shards.push(match &scores {
-                Some(s) => b.with_shared_scores(graph.clone(), Arc::clone(s))?,
-                None => b.from_graph(graph.clone())?,
-            });
-        }
-        let mut router = ShardedSimRank {
-            health: vec![ShardHealth::Healthy; shards.len()],
-            checkpoint_every: builder.checkpoint_cadence(),
-            shards,
-            partition,
-            graph,
-            builder,
-            wal,
-            last_seq: 0,
-            ops_since_checkpoint: 0,
-            quarantines_total: 0,
-            degraded_reads: Arc::new(AtomicU64::new(0)),
-            pending_history: None,
+        let mut engine = match scores(&graph) {
+            Some(s) => builder.clone().with_scores(graph.clone(), s)?,
+            None => builder.clone().from_graph(graph.clone())?,
         };
-        // Every shard's state coincides at build, so one image serves as
-        // the base any shard (or the whole system) can rebuild from.
-        if let Some(mut wal) = router.wal.take() {
-            wal.append_checkpoint(&CheckpointRecord {
-                shard: None,
-                shard_count: router.partition.shard_count() as u32,
-                block: router.partition.block() as u64,
-                seq: 0,
-                image: wal::checkpoint_image_for(&mut router.shards[0]),
-            })
-            .map_err(BuildError::from)?;
-            router.wal = Some(wal);
+        if let Some(w) = wal.as_mut() {
+            w.append_checkpoint(&CheckpointRecord::new(
+                0,
+                wal::checkpoint_image_for(&mut engine),
+            ))?;
         }
-        Ok(router)
+        Ok(Self::assemble(builder, engine, graph, wal, 0, None))
     }
 
-    /// Reconstructs a router from a recovered log: every shard rebuilds
-    /// from its newest usable checkpoint + shard-filtered replay, and the
-    /// authoritative graph replays unfiltered from the global base. The
-    /// partition geometry comes from the log, not the builder — the ops
-    /// were routed under it.
-    fn recover_internal(
+    /// The handle around a built engine, healthy and with fresh counters.
+    fn assemble(
         builder: SimRankBuilder,
-        wal: Wal,
-        mut log: wal::RecoveredLog,
-    ) -> Result<Self, BuildError> {
-        let cp = log
-            .newest_checkpoint(None)
-            .ok_or(WalError::NoCheckpoint)
-            .map_err(BuildError::from)?;
-        let shard_count = (cp.shard_count as usize).max(1);
-        let partition = ShardPartition {
-            shards: shard_count,
-            block: (cp.block as usize).max(1),
-        };
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut replayed = 0u64;
-        for s in 0..shard_count {
-            let rebuilt =
-                wal::rebuild_engine(&builder, &log, Some(s as u32)).map_err(BuildError::from)?;
-            replayed += rebuilt.replayed_ops;
-            shards.push(rebuilt.sim);
-        }
-        let graph = Self::replay_authoritative_graph(&log).map_err(BuildError::from)?;
-        debug_assert!(shards
-            .iter()
-            .all(|s| { s.graph().node_count() == graph.node_count() }));
-        let last_seq = log.last_seq();
-        let _ = replayed; // per-shard counters already carry the replay accounting
-        let pending_history =
-            (builder.retained_epochs() > 1).then(|| Self::recover_history(&mut log, shard_count));
-        Ok(ShardedSimRank {
-            health: vec![ShardHealth::Healthy; shards.len()],
-            checkpoint_every: builder.checkpoint_cadence(),
-            shards,
-            partition,
+        engine: SimRank,
+        graph: DiGraph,
+        wal: Option<Wal>,
+        last_seq: u64,
+        pending_history: Option<PendingHistory>,
+    ) -> Self {
+        ShardedSimRank {
+            engine,
             graph,
+            checkpoint_every: builder.checkpoint_cadence(),
             builder,
-            wal: Some(wal),
+            health: Health::Healthy,
+            wal,
             last_seq,
             ops_since_checkpoint: 0,
             quarantines_total: 0,
             degraded_reads: Arc::new(AtomicU64::new(0)),
             pending_history,
-        })
+        }
+    }
+
+    /// Reconstructs the handle from a recovered log: the engine rebuilds
+    /// from the newest checkpoint plus the op suffix, and the
+    /// authoritative graph is the rebuilt engine's.
+    fn recover_internal(
+        builder: SimRankBuilder,
+        wal: Wal,
+        mut log: wal::RecoveredLog,
+    ) -> Result<Self, BuildError> {
+        let rebuilt = wal::rebuild_engine(&builder, &log, None)?;
+        let graph = rebuilt.sim.graph().clone();
+        let pending_history =
+            (builder.retained_epochs() > 1).then(|| Self::recover_history(&mut log));
+        Ok(Self::assemble(
+            builder,
+            rebuilt.sim,
+            graph,
+            Some(wal),
+            rebuilt.last_seq,
+            pending_history,
+        ))
     }
 
     /// Moves the newest persisted epoch ring out of a recovered log for
     /// [`ConcurrentSimRank::new`] to rehydrate, degrading to a typed
     /// head-only outcome — never an error — when the log has no usable
-    /// ring (a v1 log, a torn or corrupt round, or a geometry mismatch).
-    fn recover_history(log: &mut wal::RecoveredLog, shard_count: usize) -> PendingHistory {
+    /// ring (a v1 log, or a torn or corrupt round).
+    fn recover_history(log: &mut wal::RecoveredLog) -> PendingHistory {
         // The newest meta trailer's head sequence survives even when the
         // round itself is unusable: the new incarnation numbers past it.
         let floor = log.history_floor();
         let Some((meta, deltas)) = log.take_epoch_ring() else {
-            return if log.has_epoch_frames() {
-                PendingHistory::Unavailable {
-                    reason: "the persisted epoch-ring round is torn or corrupt; \
-                             recovered head-only",
-                    floor,
-                }
+            let reason = if log.has_epoch_frames() {
+                "the persisted epoch-ring round is torn or corrupt; recovered head-only"
             } else {
-                PendingHistory::Unavailable {
-                    reason: "the log predates epoch-ring checkpoints; recovered head-only",
-                    floor,
-                }
+                "the log predates epoch-ring checkpoints; recovered head-only"
             };
+            return PendingHistory::Unavailable { reason, floor };
         };
-        let geometry_ok = meta.anchors.len() == shard_count
-            && meta.tails.len() == shard_count
-            && deltas
-                .iter()
-                .all(|d| d.shards.len() == shard_count && d.seq < meta.head_seq);
-        if !geometry_ok {
+        if deltas.iter().any(|d| d.seq >= meta.head_seq) {
             return PendingHistory::Unavailable {
-                reason: "the persisted epoch ring does not match the recovered \
-                         shard geometry; recovered head-only",
+                reason: "the persisted epoch ring is numbered past its own head; \
+                         recovered head-only",
                 floor,
             };
         }
-        // Per matrix shard, the dense scores at the round's checkpoint:
-        // the base the post-checkpoint replay suffix is diffed against to
-        // roll the persisted head anchor forward to the recovered state.
-        let cp_scores: Vec<Option<DenseMatrix>> = (0..shard_count)
-            .map(|s| {
-                if !matches!(meta.anchors[s], wal::ShardDeltaImage::Dense(_)) {
-                    return None;
-                }
-                match &log.checkpoint_at(Some(s as u32), meta.cp_seq)?.image {
-                    wal::CheckpointImage::Dense(bytes) => {
-                        crate::core::snapshot::load(&mut &bytes[..])
-                            .ok()
-                            .map(|snap| snap.scores)
-                    }
-                    wal::CheckpointImage::GraphOnly { .. } => None,
-                }
-            })
-            .collect();
+        // The dense scores at the round's checkpoint: the base the
+        // post-checkpoint replay suffix is diffed against to roll the
+        // persisted head anchor forward to the recovered state.
+        let cp_scores = match (&meta.anchor, log.checkpoint_at(meta.cp_seq)) {
+            (wal::DeltaImage::Dense(_), Some(cp)) => match &cp.image {
+                wal::CheckpointImage::Dense(bytes) => crate::core::snapshot::load(&mut &bytes[..])
+                    .ok()
+                    .map(|snap| snap.scores),
+                wal::CheckpointImage::GraphOnly { .. } => None,
+            },
+            _ => None,
+        };
         let suffix_ops: Vec<ReplayOp> = log.ops_after(meta.cp_seq).map(|e| e.op).collect();
         PendingHistory::Ring {
-            meta,
+            meta: Box::new(meta),
             deltas,
             cp_scores,
             suffix_ops,
         }
     }
 
-    /// The authoritative (unfiltered) graph of a recovered log: the global
-    /// base checkpoint's graph plus every op after it, regardless of shard.
-    fn replay_authoritative_graph(log: &wal::RecoveredLog) -> Result<DiGraph, WalError> {
-        let cp = log.newest_checkpoint(None).ok_or(WalError::NoCheckpoint)?;
-        let mut graph = match &cp.image {
-            wal::CheckpointImage::GraphOnly { graph, .. } => graph.clone(),
-            wal::CheckpointImage::Dense(bytes) => {
-                crate::core::snapshot::load(&mut &bytes[..])?.graph
-            }
-        };
-        for rec in log.ops_after(cp.seq) {
-            match rec.op {
-                wal::ReplayOp::Edge(op) => {
-                    op.apply(&mut graph).map_err(|_| WalError::Corrupt {
-                        offset: 0,
-                        detail: "logged op does not apply to the checkpoint graph",
-                    })?;
-                }
-                wal::ReplayOp::AddNode => {
-                    graph.add_node();
-                }
-            }
-        }
-        Ok(graph)
+    // ---- introspection -------------------------------------------------
+
+    /// Read access to the engine's service handle (diagnostics, tests).
+    pub fn engine(&self) -> &SimRank {
+        &self.engine
     }
 
-    // ---- topology ------------------------------------------------------
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// [`Self::engine`] under the name callers written against the
+    /// multi-engine router use; every index names the one engine.
+    pub fn shard(&self, _index: usize) -> &SimRank {
+        self.engine()
     }
 
-    /// The node partition.
-    pub fn partition(&self) -> &ShardPartition {
-        &self.partition
-    }
-
-    /// Read access to one shard's service handle (diagnostics, tests).
-    ///
-    /// # Panics
-    /// Panics if `s >= shard_count()`.
-    pub fn shard(&self, s: usize) -> &SimRank {
-        &self.shards[s]
-    }
-
-    /// The authoritative global graph (every update applied, regardless
-    /// of which shards received it).
+    /// The authoritative graph (every committed update applied, even one
+    /// whose engine apply panicked).
     pub fn graph(&self) -> &DiGraph {
         &self.graph
     }
 
-    /// The engine configuration (identical across shards).
+    /// The engine configuration.
     pub fn config(&self) -> &SimRankConfig {
-        self.shards[0].config()
+        self.engine.config()
     }
 
     // ---- updates -------------------------------------------------------
 
-    /// Applies one link update: validated against the global graph, then
-    /// routed to the shard(s) owning its endpoints. Returns the stats of
-    /// each shard application (one entry, or two when the endpoints live
-    /// on different shards).
+    /// Applies one link update: validated against the authoritative
+    /// graph, then applied by the engine. Returns one [`UpdateStats`],
+    /// as [`Self::update_batch`] returns one per op.
     ///
-    /// Durable routers append the op to the WAL *before* applying it. A
-    /// shard that panics (or errors) mid-apply is quarantined; the op
-    /// still commits everywhere else — the quarantined shard recovers it
-    /// from the log on [`Self::rebuild_shard`].
+    /// Durable handles append the op to the WAL *before* applying it. An
+    /// engine that panics (or errors) mid-apply quarantines the handle;
+    /// the op still commits to the log and the authoritative graph, and
+    /// [`Self::rebuild`] recovers it.
     pub fn update(&mut self, op: UpdateOp) -> Result<Vec<UpdateStats>, ServeError> {
         let (i, j) = op.endpoints();
         let kind = match op {
@@ -811,89 +605,45 @@ impl ShardedSimRank {
             UpdateOp::Delete(..) => crate::core::UpdateKind::Delete,
         };
         crate::core::validate_update(&self.graph, i, j, kind).map_err(ServeError::Update)?;
-        let owners: Vec<usize> = self.owners(i, j).collect();
-        self.check_writable(owners.iter().copied())?;
+        self.check_writable()?;
         if let Some(w) = self.wal.as_mut() {
             w.append_ops(std::slice::from_ref(&op))?;
         }
         self.last_seq += 1;
-
-        let mut stats = Vec::with_capacity(2);
-        let mut first_failure: Option<(usize, Option<UpdateError>)> = None;
-        for &s in &owners {
-            // Every owner gets the op even after one fails: the op is
-            // committed (logged + in the router graph), so a healthy
-            // shard skipping it would silently diverge.
-            match catch_unwind(AssertUnwindSafe(|| self.shards[s].update(op))) {
-                Ok(Ok(st)) => stats.push(st),
-                Ok(Err(e)) => {
-                    self.quarantine(s);
-                    first_failure.get_or_insert((s, Some(e)));
-                }
-                Err(_) => {
-                    self.quarantine(s);
-                    first_failure.get_or_insert((s, None));
-                }
-            }
-        }
-        // Validated above, so this cannot fail short of a router bug —
-        // which surfaces as a typed error, never a panic mid-serve.
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.engine.update(op)));
+        // Validated above, so this cannot fail short of a bug — which
+        // surfaces as a typed error, never a panic mid-serve.
         op.apply(&mut self.graph)
             .map_err(|e| ServeError::Update(UpdateError::Graph(e)))?;
         self.ops_since_checkpoint += 1;
-        match first_failure {
-            None => {
-                self.maybe_checkpoint()?;
-                Ok(stats)
-            }
-            Some((_, Some(e))) => Err(ServeError::Update(e)),
-            Some((s, None)) => Err(ServeError::ShardPanicked {
-                shard: s,
-                since_seq: self.last_seq,
-            }),
-        }
+        let stats = self.settle(outcome)?;
+        self.maybe_checkpoint()?;
+        Ok(vec![stats])
     }
 
-    /// Inserts edge `(i, j)` on the owning shard(s).
+    /// Inserts edge `(i, j)`.
     pub fn insert(&mut self, i: u32, j: u32) -> Result<Vec<UpdateStats>, ServeError> {
         self.update(UpdateOp::Insert(i, j))
     }
 
-    /// Deletes edge `(i, j)` on the owning shard(s).
+    /// Deletes edge `(i, j)`.
     pub fn remove(&mut self, i: u32, j: u32) -> Result<Vec<UpdateStats>, ServeError> {
         self.update(UpdateOp::Delete(i, j))
     }
 
-    /// Applies a batch `ΔG`, fanning the per-shard sub-batches out across
-    /// up to [`serve_threads`] worker threads (shard engines are
-    /// independent, so this is the update-side parallelism sharding buys).
-    /// The whole batch is validated against the global graph first and
-    /// rejected **atomically** if any op is invalid — stronger than the
-    /// single-handle prefix semantics, because the router can afford to
-    /// simulate the batch on its shadow graph before any engine moves.
+    /// Applies a batch `ΔG` through the engine's batch path (one fused
+    /// sweep under the fused policies). The whole batch is validated
+    /// against the authoritative graph first and rejected **atomically**
+    /// if any op is invalid — stronger than the single-handle prefix
+    /// semantics, because the handle simulates the batch on a shadow
+    /// graph before the engine moves. Returns one [`UpdateStats`] per op.
     ///
-    /// Returns one [`UpdateStats`] per op (from the op's primary owner,
-    /// the shard that also answers pair queries on its endpoints).
+    /// Panic containment: the engine applies under `catch_unwind`, so a
+    /// panic mid-batch **cannot kill the process**. The handle is
+    /// quarantined and the call returns [`ServeError::Panicked`]; the
+    /// batch still commits to the log and the authoritative graph, and
+    /// [`Self::rebuild`] recovers it.
     pub fn update_batch(&mut self, ops: &[UpdateOp]) -> Result<Vec<UpdateStats>, ServeError> {
-        self.update_batch_with_threads(ops, serve_threads())
-    }
-
-    /// [`Self::update_batch`] with an explicit worker-thread cap
-    /// (1 = fully serial dispatch). Results are identical for every
-    /// thread count; only the wall-clock moves.
-    ///
-    /// Panic containment: each shard's sub-batch runs under
-    /// `catch_unwind`, so a shard engine panicking mid-apply **cannot
-    /// kill the process or poison the router**. The panicking shard is
-    /// quarantined and the call returns [`ServeError::ShardPanicked`];
-    /// every healthy shard's application and the router graph still
-    /// commit (the batch is already in the WAL, so the quarantined shard
-    /// recovers it on [`Self::rebuild_shard`]).
-    pub fn update_batch_with_threads(
-        &mut self,
-        ops: &[UpdateOp],
-        threads: usize,
-    ) -> Result<Vec<UpdateStats>, ServeError> {
         if ops.is_empty() {
             return Ok(Vec::new());
         }
@@ -903,190 +653,66 @@ impl ShardedSimRank {
             op.apply(&mut shadow)
                 .map_err(|e| ServeError::Update(UpdateError::Graph(e)))?;
         }
-
-        // Route: per-shard sub-batches, preserving global op order, plus
-        // the global index each sub-op came from.
-        let mut sub_ops: Vec<Vec<UpdateOp>> = vec![Vec::new(); self.shards.len()];
-        let mut sub_idx: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (g, &op) in ops.iter().enumerate() {
-            let (i, j) = op.endpoints();
-            for s in self.owners(i, j) {
-                sub_ops[s].push(op);
-                sub_idx[s].push(g);
-            }
-        }
-
-        // Quarantine pre-check: a batch touching a quarantined shard is
-        // rejected before the log or any engine moves.
-        self.check_writable((0..self.shards.len()).filter(|&s| !sub_ops[s].is_empty()))?;
-
-        // Write-ahead: the whole batch is logged (and flushed) before any
-        // shard applies an op — on append failure nothing was applied.
+        self.check_writable()?;
+        // Write-ahead: the whole batch is logged (and flushed) before the
+        // engine applies an op — on append failure nothing was applied.
         if let Some(w) = self.wal.as_mut() {
             w.append_ops(ops)?;
         }
-
-        // Dispatch: the busy shards are split into at most `threads`
-        // contiguous groups, one scoped worker per group, so the cap is
-        // honoured exactly (a group works through its shards serially).
-        // Both paths apply under `catch_unwind`, so results are identical
-        // for every thread count even when a shard dies.
-        type ShardOutcome = std::thread::Result<Result<Vec<UpdateStats>, UpdateError>>;
-        let shard_count = self.shards.len();
-        let mut busy: Vec<(usize, &mut SimRank, &Vec<UpdateOp>)> = self
-            .shards
-            .iter_mut()
-            .zip(&sub_ops)
-            .enumerate()
-            .filter(|(_, (_, sub))| !sub.is_empty())
-            .map(|(s, (shard, sub))| (s, shard, sub))
-            .collect();
-        let workers = threads.max(1).min(busy.len().max(1));
-        let mut results: Vec<(usize, ShardOutcome)> = Vec::new();
-        if workers <= 1 {
-            for (s, shard, sub) in busy {
-                results.push((
-                    s,
-                    catch_unwind(AssertUnwindSafe(|| shard.update_batch(sub))),
-                ));
-            }
-        } else {
-            let group_len = busy.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for group in busy.chunks_mut(group_len) {
-                    let shard_ids: Vec<usize> = group.iter().map(|(s, ..)| *s).collect();
-                    let handle = scope.spawn(move || {
-                        group
-                            .iter_mut()
-                            .map(|(s, shard, sub)| {
-                                (
-                                    *s,
-                                    catch_unwind(AssertUnwindSafe(|| shard.update_batch(sub))),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    });
-                    handles.push((shard_ids, handle));
-                }
-                for (shard_ids, h) in handles {
-                    match h.join() {
-                        Ok(outcomes) => results.extend(outcomes),
-                        // The worker wraps every engine call in
-                        // catch_unwind, so a panic *of the worker itself*
-                        // (allocation failure, …) left its whole group in
-                        // an unknown state: quarantine every shard of the
-                        // group rather than crash the router.
-                        Err(payload) => results.extend(
-                            shard_ids
-                                .into_iter()
-                                .map(|s| (s, Err(clone_panic(&payload)))),
-                        ),
-                    }
-                }
-            });
-        }
-
-        // Commit: the batch is durable and every healthy shard applied it
-        // (pre-validation guarantees per-shard success), so the shadow
-        // graph becomes authoritative even when some shard failed — that
-        // shard is quarantined and recovers the suffix from the log.
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.engine.update_batch(ops)));
+        // Commit: the batch is durable, so the shadow graph becomes
+        // authoritative even when the engine failed — the rebuild
+        // recovers the batch from the log.
         self.graph = shadow;
         self.last_seq += ops.len() as u64;
         self.ops_since_checkpoint += ops.len() as u64;
-        let mut per_shard: Vec<Option<Vec<UpdateStats>>> = vec![None; shard_count];
-        let mut first_failure: Option<(usize, Option<UpdateError>)> = None;
-        for (s, outcome) in results {
-            match outcome {
-                Ok(Ok(stats)) => per_shard[s] = Some(stats),
-                Ok(Err(e)) => {
-                    self.quarantine(s);
-                    first_failure.get_or_insert((s, Some(e)));
-                }
-                Err(_) => {
-                    self.quarantine(s);
-                    first_failure.get_or_insert((s, None));
-                }
-            }
-        }
-        match first_failure {
-            Some((_, Some(e))) => return Err(ServeError::Update(e)),
-            Some((s, None)) => {
-                return Err(ServeError::ShardPanicked {
-                    shard: s,
-                    since_seq: self.last_seq,
-                })
-            }
-            None => {}
-        }
+        let stats = self.settle(outcome)?;
         self.maybe_checkpoint()?;
-
-        // Collect each op's primary-owner stats.
-        let mut out: Vec<Option<UpdateStats>> = vec![None; ops.len()];
-        for (s, stats) in per_shard.iter().enumerate() {
-            let Some(stats) = stats else { continue };
-            for (k, &g) in sub_idx[s].iter().enumerate() {
-                let (i, j) = ops[g].endpoints();
-                if self.partition.pair_owner(i, j) == s {
-                    out[g] = Some(stats[k]);
-                }
-            }
-        }
-        let mut flat = Vec::with_capacity(out.len());
-        for stats in out {
-            match stats {
-                Some(st) => flat.push(st),
-                // Unreachable short of a routing bug (every op has a
-                // primary owner, and no shard failed above) — reported
-                // typed rather than panicking in the write path.
-                None => {
-                    return Err(ServeError::Internal(
-                        "update_batch: an op's primary owner returned no stats",
-                    ))
-                }
-            }
-        }
-        Ok(flat)
+        Ok(stats)
     }
 
-    /// Appends an isolated node to **every** shard (all engines span the
-    /// full node set); the new id is owned by the last shard. Rejected
-    /// with [`ServeError::Quarantined`] while any shard is quarantined
-    /// (its engine cannot take the append; rebuild first).
+    /// Appends an isolated node. Rejected with [`ServeError::Quarantined`]
+    /// while the handle is quarantined (rebuild first).
     pub fn add_node(&mut self) -> Result<u32, ServeError> {
-        self.check_writable(0..self.shards.len())?;
+        self.check_writable()?;
         if let Some(w) = self.wal.as_mut() {
             w.append_add_node()?;
         }
         self.last_seq += 1;
         self.ops_since_checkpoint += 1;
         let id = self.graph.add_node();
-        for shard in &mut self.shards {
-            let shard_id = shard.add_node();
-            debug_assert_eq!(shard_id, id, "shard node-id drift");
-        }
+        let engine_id = self.engine.add_node();
+        debug_assert_eq!(engine_id, id, "engine node-id drift");
         self.maybe_checkpoint()?;
         Ok(id)
     }
 
-    // ---- health & durability -------------------------------------------
-
-    /// Health of shard `s`.
-    ///
-    /// # Panics
-    /// Panics if `s >= shard_count()`.
-    pub fn shard_health(&self, s: usize) -> ShardHealth {
-        self.health[s]
+    /// The caller's result for an engine apply: its value, or — after an
+    /// engine error or panic — a quarantine and the typed error.
+    fn settle<T>(
+        &mut self,
+        outcome: std::thread::Result<Result<T, UpdateError>>,
+    ) -> Result<T, ServeError> {
+        match outcome {
+            Ok(Ok(value)) => Ok(value),
+            Ok(Err(e)) => {
+                self.quarantine();
+                Err(ServeError::Update(e))
+            }
+            Err(_) => {
+                self.quarantine();
+                Err(ServeError::Panicked {
+                    since_seq: self.last_seq,
+                })
+            }
+        }
     }
 
-    /// Indices of the currently quarantined shards (empty when all serve).
-    pub fn quarantined_shards(&self) -> Vec<usize> {
+    // ---- health & durability -------------------------------------------
+
+    /// Health of the engine.
+    pub fn health(&self) -> Health {
         self.health
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| matches!(h, ShardHealth::Quarantined { .. }))
-            .map(|(s, _)| s)
-            .collect()
     }
 
     /// The highest op sequence number accepted so far (the WAL's when one
@@ -1095,286 +721,212 @@ impl ShardedSimRank {
         self.last_seq
     }
 
-    /// Path of the attached write-ahead log, if the router is durable.
+    /// Path of the attached write-ahead log, if the handle is durable.
     pub fn wal_path(&self) -> Option<&std::path::Path> {
         self.wal.as_ref().map(Wal::path)
     }
 
-    fn check_writable(&self, owners: impl IntoIterator<Item = usize>) -> Result<(), ServeError> {
-        for s in owners {
-            if let ShardHealth::Quarantined { since_seq } = self.health[s] {
-                return Err(ServeError::Quarantined {
-                    shard: s,
-                    since_seq,
-                    retry_after: QUARANTINE_RETRY_AFTER,
-                });
-            }
+    fn check_writable(&self) -> Result<(), ServeError> {
+        match self.health {
+            Health::Healthy => Ok(()),
+            Health::Quarantined { since_seq } => Err(ServeError::Quarantined {
+                since_seq,
+                retry_after: QUARANTINE_RETRY_AFTER,
+            }),
         }
-        Ok(())
     }
 
-    fn quarantine(&mut self, s: usize) {
-        if matches!(self.health[s], ShardHealth::Healthy) {
-            self.health[s] = ShardHealth::Quarantined {
+    fn check_readable(&self) -> Result<(), ServeError> {
+        match self.health {
+            Health::Healthy => Ok(()),
+            Health::Quarantined { since_seq } => Err(ServeError::Degraded { since_seq }),
+        }
+    }
+
+    fn quarantine(&mut self) {
+        if matches!(self.health, Health::Healthy) {
+            self.health = Health::Quarantined {
                 since_seq: self.last_seq,
             };
             self.quarantines_total += 1;
         }
     }
 
-    /// Writes a per-shard checkpoint image for every healthy shard when
-    /// the op cadence is due (durable routers only).
+    /// Writes a checkpoint image when the op cadence is due (durable
+    /// handles only).
     fn maybe_checkpoint(&mut self) -> Result<(), ServeError> {
         if self.ops_since_checkpoint < self.checkpoint_every {
             return Ok(());
         }
-        let Some(mut wal) = self.wal.take() else {
+        let Some(w) = self.wal.as_mut() else {
             return Ok(());
         };
-        let result = (|| {
-            for s in 0..self.shards.len() {
-                if !matches!(self.health[s], ShardHealth::Healthy) {
-                    continue;
-                }
-                wal.append_checkpoint(&CheckpointRecord {
-                    shard: Some(s as u32),
-                    shard_count: self.partition.shard_count() as u32,
-                    block: self.partition.block() as u64,
-                    seq: self.last_seq,
-                    image: wal::checkpoint_image_for(&mut self.shards[s]),
-                })?;
-            }
-            Ok(())
-        })();
-        self.wal = Some(wal);
-        if result.is_ok() {
-            self.ops_since_checkpoint = 0;
-        }
-        result.map_err(ServeError::Wal)
-    }
-
-    /// Restores a quarantined shard from the write-ahead log (newest
-    /// usable checkpoint + shard-filtered replay — see
-    /// [`crate::wal::rebuild_engine`]) and marks it healthy again. Without
-    /// a WAL the shard is recomputed from the authoritative router graph
-    /// instead. A fresh per-shard checkpoint is appended after a durable
-    /// rebuild, so the *next* recovery replays a short suffix.
-    ///
-    /// Rebuilding a healthy shard is a no-op returning `Ok(())`.
-    ///
-    /// # Panics
-    /// Panics if `s >= shard_count()`.
-    pub fn rebuild_shard(&mut self, s: usize) -> Result<(), ServeError> {
-        if matches!(self.health[s], ShardHealth::Healthy) {
-            return Ok(());
-        }
-        match self.wal.take() {
-            Some(mut wal) => {
-                let restore = (|| -> Result<SimRank, WalError> {
-                    wal.sync()?;
-                    let log = wal::read_log(wal.path())?;
-                    Ok(wal::rebuild_engine(&self.builder, &log, Some(s as u32))?.sim)
-                })();
-                match restore {
-                    Ok(mut sim) => {
-                        debug_assert_eq!(
-                            sim.graph().node_count(),
-                            self.graph.node_count(),
-                            "rebuilt shard node-universe drift"
-                        );
-                        // Best-effort hygiene checkpoint: a failure here
-                        // costs only a longer replay next time (the log
-                        // truncated back to a consistent state).
-                        let _ = wal.append_checkpoint(&CheckpointRecord {
-                            shard: Some(s as u32),
-                            shard_count: self.partition.shard_count() as u32,
-                            block: self.partition.block() as u64,
-                            seq: self.last_seq,
-                            image: wal::checkpoint_image_for(&mut sim),
-                        });
-                        self.wal = Some(wal);
-                        self.shards[s] = sim;
-                    }
-                    Err(e) => {
-                        self.wal = Some(wal);
-                        return Err(ServeError::Wal(e));
-                    }
-                }
-            }
-            None => {
-                // No log: recompute from the authoritative router graph.
-                // The crashed shard's op-subset trajectory is not
-                // recoverable without a log; batch recompute over the full
-                // graph is the best reconstruction available.
-                self.shards[s] = self.builder.clone().from_graph(self.graph.clone())?;
-            }
-        }
-        self.health[s] = ShardHealth::Healthy;
+        let image = wal::checkpoint_image_for(&mut self.engine);
+        w.append_checkpoint(&CheckpointRecord::new(self.last_seq, image))?;
+        self.ops_since_checkpoint = 0;
         Ok(())
     }
 
-    /// The shard(s) owning the endpoints of an edge, deduplicated.
-    fn owners(&self, i: u32, j: u32) -> impl Iterator<Item = usize> {
-        let a = self.partition.owner(i);
-        let b = self.partition.owner(j);
-        std::iter::once(a.min(b)).chain((a != b).then_some(a.max(b)))
+    /// Restores a quarantined engine from the write-ahead log (newest
+    /// checkpoint + replay — see [`crate::wal::rebuild_engine`]) and
+    /// marks the handle healthy again. Without a WAL the engine is
+    /// recomputed from the authoritative graph instead. A fresh
+    /// checkpoint is appended after a durable rebuild, so the *next*
+    /// recovery replays a short suffix.
+    ///
+    /// Rebuilding a healthy handle is a no-op returning `Ok(())`.
+    pub fn rebuild(&mut self) -> Result<(), ServeError> {
+        if matches!(self.health, Health::Healthy) {
+            return Ok(());
+        }
+        self.engine = match self.wal.as_mut() {
+            Some(w) => {
+                w.sync()?;
+                let log = wal::read_log(w.path())?;
+                let mut sim = wal::rebuild_engine(&self.builder, &log, None)?.sim;
+                debug_assert_eq!(
+                    sim.graph().node_count(),
+                    self.graph.node_count(),
+                    "rebuilt engine node-universe drift"
+                );
+                // Best-effort hygiene checkpoint: a failure here costs
+                // only a longer replay next time (the log truncated back
+                // to a consistent state).
+                let image = wal::checkpoint_image_for(&mut sim);
+                let _ = w.append_checkpoint(&CheckpointRecord::new(self.last_seq, image));
+                sim
+            }
+            // No log: recompute from the authoritative graph, the best
+            // reconstruction available without one.
+            None => self.builder.clone().from_graph(self.graph.clone())?,
+        };
+        self.health = Health::Healthy;
+        Ok(())
     }
 
     // ---- queries -------------------------------------------------------
 
-    /// Similarity of one node pair, answered by the owner of the smaller
-    /// id with the arguments in canonical `(min, max)` order — both
-    /// orders are literally the same shard read, so
-    /// `pair(a, b) == pair(b, a)` holds bit-for-bit (the engine matrix
-    /// itself is only symmetric up to rounding).
+    /// Similarity of one node pair, read in canonical `(min, max)` order
+    /// so `pair(a, b) == pair(b, a)` holds bit-for-bit.
     ///
     /// # Panics
     /// Panics if either node is out of range; see [`Self::try_pair`].
     pub fn pair(&self, a: u32, b: u32) -> f64 {
-        self.shards[self.partition.pair_owner(a, b)].pair(a.min(b), a.max(b))
+        self.engine.pair(a.min(b), a.max(b))
     }
 
-    /// [`Self::pair`], returning `None` when either node is absent from
-    /// every shard (id out of range) instead of panicking.
+    /// [`Self::pair`], returning `None` when either node is out of range
+    /// instead of panicking.
     pub fn try_pair(&self, a: u32, b: u32) -> Option<f64> {
         let n = self.graph.node_count() as u32;
         (a < n && b < n).then(|| self.pair(a, b))
     }
 
-    /// All similarities of node `a`, from its owning shard.
+    /// All similarities of node `a`.
     ///
     /// # Panics
     /// Panics if `a` is out of range; see [`Self::try_single_source`].
     pub fn single_source(&self, a: u32) -> Vec<RankedNode> {
-        self.shards[self.partition.owner(a)].single_source(a)
+        self.engine.single_source(a)
     }
 
-    /// [`Self::single_source`], `None` when `a` is absent from every shard.
+    /// [`Self::single_source`], `None` when `a` is out of range.
     pub fn try_single_source(&self, a: u32) -> Option<Vec<RankedNode>> {
         ((a as usize) < self.graph.node_count()).then(|| self.single_source(a))
     }
 
-    /// The `k` most similar nodes to `a`, from its owning shard.
+    /// The `k` most similar nodes to `a`.
     ///
     /// # Panics
     /// Panics if `a` is out of range; see [`Self::try_top_k`].
     pub fn top_k(&self, a: u32, k: usize) -> Vec<RankedNode> {
-        self.shards[self.partition.owner(a)].top_k(a, k)
+        self.engine.top_k(a, k)
     }
 
-    /// [`Self::top_k`], `None` when `a` is absent from every shard.
+    /// [`Self::top_k`], `None` when `a` is out of range.
     pub fn try_top_k(&self, a: u32, k: usize) -> Option<Vec<RankedNode>> {
         ((a as usize) < self.graph.node_count()).then(|| self.top_k(a, k))
     }
 
-    /// Nodes at least `threshold`-similar to `a`, from its owning shard.
+    /// Nodes at least `threshold`-similar to `a`.
     ///
     /// # Panics
     /// Panics if `a` is out of range.
     pub fn similar_above(&self, a: u32, threshold: f64) -> Vec<RankedNode> {
-        self.shards[self.partition.owner(a)].similar_above(a, threshold)
+        self.engine.similar_above(a, threshold)
     }
 
     // ---- checked reads --------------------------------------------------
     //
-    // The plain query methods read the live shard engine as-is — on a
-    // quarantined shard that state may be torn mid-update. The checked
+    // The plain query methods read the live engine as-is — on a
+    // quarantined handle that state may be torn mid-update. The checked
     // variants refuse instead with a typed `ServeError::Degraded`; epoch
     // readers ([`ConcurrentSimRank`]) get the third option, the last
     // *published* pre-quarantine state.
 
-    /// [`Self::pair`], refusing with [`ServeError::Degraded`] when the
-    /// owning shard is quarantined.
+    /// [`Self::pair`], refusing with [`ServeError::Degraded`] while the
+    /// handle is quarantined.
     ///
     /// # Panics
     /// Panics if either node is out of range.
     pub fn checked_pair(&self, a: u32, b: u32) -> Result<f64, ServeError> {
-        let s = self.partition.pair_owner(a, b);
-        self.check_readable(s)?;
-        Ok(self.shards[s].pair(a.min(b), a.max(b)))
+        self.check_readable()?;
+        Ok(self.pair(a, b))
     }
 
     /// [`Self::single_source`], refusing with [`ServeError::Degraded`]
-    /// when the owning shard is quarantined.
+    /// while the handle is quarantined.
     ///
     /// # Panics
     /// Panics if `a` is out of range.
     pub fn checked_single_source(&self, a: u32) -> Result<Vec<RankedNode>, ServeError> {
-        let s = self.partition.owner(a);
-        self.check_readable(s)?;
-        Ok(self.shards[s].single_source(a))
+        self.check_readable()?;
+        Ok(self.single_source(a))
     }
 
-    /// [`Self::top_k`], refusing with [`ServeError::Degraded`] when the
-    /// owning shard is quarantined.
+    /// [`Self::top_k`], refusing with [`ServeError::Degraded`] while the
+    /// handle is quarantined.
     ///
     /// # Panics
     /// Panics if `a` is out of range.
     pub fn checked_top_k(&self, a: u32, k: usize) -> Result<Vec<RankedNode>, ServeError> {
-        let s = self.partition.owner(a);
-        self.check_readable(s)?;
-        Ok(self.shards[s].top_k(a, k))
-    }
-
-    fn check_readable(&self, s: usize) -> Result<(), ServeError> {
-        match self.health[s] {
-            ShardHealth::Healthy => Ok(()),
-            ShardHealth::Quarantined { since_seq } => Err(ServeError::Degraded {
-                shard: s,
-                since_seq,
-            }),
-        }
+        self.check_readable()?;
+        Ok(self.top_k(a, k))
     }
 
     // ---- maintenance & introspection -----------------------------------
 
-    /// Materialises pending deferred ΔS on every shard; returns the total
-    /// rank-two terms applied.
+    /// Materialises pending deferred ΔS; returns the rank-two terms
+    /// applied.
     pub fn flush(&mut self) -> usize {
-        self.shards.iter_mut().map(SimRank::flush).sum()
+        self.engine.flush()
     }
 
-    /// Recompresses pending deferred ΔS on every shard **in place** (see
+    /// Recompresses pending deferred ΔS **in place** (see
     /// [`SimRank::compress`]): the serve-side alternative to
-    /// [`Self::flush`] that keeps every lazy window open — epoch
+    /// [`Self::flush`] that keeps the lazy window open — epoch
     /// publication keeps snapshotting `S_base + Δ` factors, just fewer of
-    /// them. Returns the largest pending rank that remains.
+    /// them. Returns the pending rank that remains.
     pub fn compress_pending(&mut self) -> usize {
-        self.shards
-            .iter_mut()
-            .map(SimRank::compress)
-            .max()
-            .unwrap_or(0)
+        self.engine.compress()
     }
 
-    /// Largest pending deferred-ΔS rank across shards (0 when every shard
-    /// is fully materialised).
+    /// Pending deferred-ΔS rank (0 when fully materialised).
     pub fn pending_rank(&self) -> usize {
-        self.shards
-            .iter()
-            .map(SimRank::pending_rank)
-            .max()
-            .unwrap_or(0)
+        self.engine.pending_rank()
     }
 
-    /// Total heap bytes of the pending deferred-ΔS buffers across shards
-    /// — the router-level memory-pressure signal (see
-    /// [`SimRank::pending_heap_bytes`]).
+    /// Heap bytes of the pending deferred-ΔS buffer — the handle's
+    /// memory-pressure signal (see [`SimRank::pending_heap_bytes`]).
     pub fn pending_heap_bytes(&self) -> usize {
-        self.shards.iter().map(SimRank::pending_heap_bytes).sum()
+        self.engine.pending_heap_bytes()
     }
 
-    /// Routing counters aggregated across every shard — per-shard
-    /// accounting stays meaningful behind the router; see
-    /// [`Self::shard_counters`] for the unmerged view. Router-level
-    /// durability accounting (`wal_appends`, `checkpoints`,
-    /// `quarantines`, `degraded_reads`) is merged in on top of the
-    /// engine-level counters (which carry `replayed_ops`).
+    /// The engine's routing counters plus the handle's durability
+    /// accounting (`wal_appends`, `checkpoints`, `quarantines`,
+    /// `degraded_reads`); the engine carries `replayed_ops`.
     pub fn counters(&self) -> ModeCounters {
-        let mut total = ModeCounters::default();
-        for shard in &self.shards {
-            total.merge(&shard.counters());
-        }
+        let mut total = self.engine.counters();
         if let Some(w) = &self.wal {
             total.wal_appends += w.appends();
             total.checkpoints += w.checkpoints();
@@ -1384,60 +936,43 @@ impl ShardedSimRank {
         total
     }
 
-    /// Per-shard routing counters, indexed by shard.
-    pub fn shard_counters(&self) -> Vec<ModeCounters> {
-        self.shards.iter().map(SimRank::counters).collect()
-    }
-
-    /// Freezes every shard's current state into an [`Epoch`] with the
+    /// Freezes the engine's current state into an [`Epoch`] with the
     /// given sequence number (the [`ConcurrentSimRank`] publish
     /// primitive; also useful stand-alone for consistent bulk exports).
-    /// Matrix shards freeze `S_base + Δ` by sharing their base matrix
+    /// A matrix engine freezes `S_base + Δ` by sharing its base matrix
     /// (a pointer clone; the engine copies it on its next write) plus a
-    /// copy of the pending factors; matrix-free shards freeze their graph
-    /// (`O(n + m)`) and keep sampling — every engine publishes through
-    /// the same engine-agnostic [`SnapshotQuery`] handle.
+    /// copy of the pending factors; a matrix-free engine freezes its
+    /// graph (`O(n + m)`) and keeps sampling — every engine publishes
+    /// through the same engine-agnostic [`SnapshotQuery`] handle.
     ///
-    /// A **quarantined** shard's live engine is never snapshotted:
-    /// its view is carried over from `prev` (the last epoch published
-    /// before the quarantine — reads of it come back
-    /// [`ReadStatus::Degraded`]), or an all-zeros view when there is no
-    /// previous epoch to freeze.
+    /// A **quarantined** engine is never snapshotted: the view is carried
+    /// over from `prev` (the last epoch published before the quarantine —
+    /// reads of it come back [`ReadStatus::Degraded`]), or an all-zeros
+    /// view when there is no previous epoch to freeze.
     pub fn snapshot_epoch(&self, seq: u64, prev: Option<&Epoch>) -> Epoch {
-        let mut views: Vec<Arc<dyn SnapshotQuery>> = Vec::with_capacity(self.shards.len());
-        let mut degraded: Vec<Option<DegradedInfo>> = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            match self.health[s] {
-                ShardHealth::Healthy => {
-                    views.push(shard.snapshot_query());
-                    degraded.push(None);
-                }
-                ShardHealth::Quarantined { since_seq } => match prev {
-                    Some(p) if s < p.views.len() => {
-                        views.push(Arc::clone(&p.views[s]));
-                        // Freeze n where the carried-over view froze it:
-                        // ids appended later read 0.0, never out-of-range.
-                        let frozen_n = p.degraded[s].map_or(p.n, |d| d.frozen_n);
-                        degraded.push(Some(DegradedInfo {
-                            since_seq,
-                            frozen_n,
-                        }));
-                    }
-                    _ => {
-                        views.push(Arc::new(ZeroView));
-                        degraded.push(Some(DegradedInfo {
-                            since_seq,
-                            frozen_n: 0,
-                        }));
-                    }
-                },
-            }
-        }
+        let (view, degraded) = match (self.health, prev) {
+            (Health::Healthy, _) => (self.engine.snapshot_query(), None),
+            // Freeze n where the carried-over view froze it: ids appended
+            // later read 0.0, never out-of-range.
+            (Health::Quarantined { since_seq }, Some(p)) => (
+                Arc::clone(&p.view),
+                Some(DegradedInfo {
+                    since_seq,
+                    frozen_n: p.degraded.map_or(p.n, |d| d.frozen_n),
+                }),
+            ),
+            (Health::Quarantined { since_seq }, None) => (
+                Arc::new(ZeroView) as Arc<dyn SnapshotQuery>,
+                Some(DegradedInfo {
+                    since_seq,
+                    frozen_n: 0,
+                }),
+            ),
+        };
         Epoch {
             seq,
-            partition: self.partition,
             n: self.graph.node_count(),
-            views,
+            view,
             degraded,
             degraded_reads: Arc::clone(&self.degraded_reads),
         }
@@ -1447,32 +982,29 @@ impl ShardedSimRank {
 impl std::fmt::Debug for ShardedSimRank {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSimRank")
-            .field("shards", &self.shards.len())
             .field("nodes", &self.graph.node_count())
             .field("edges", &self.graph.edge_count())
-            .field("engine", &self.shards[0].engine_name())
+            .field("engine", &self.engine.engine_name())
             .field("durable", &self.wal.is_some())
-            .field("quarantined", &self.quarantined_shards())
+            .field("health", &self.health)
             .finish()
     }
 }
 
-/// One published, immutable serving epoch: a frozen query handle per
-/// shard ([`SnapshotQuery`]: an owned `S_base + Δ` snapshot for matrix
-/// engines, a frozen graph for the probe engine) plus the partition that
-/// routes queries into them. Shared across reader threads behind an
-/// `Arc`; every answer drawn from one `Epoch` value is mutually
+/// One published, immutable serving epoch: a frozen query handle
+/// ([`SnapshotQuery`]: an owned `S_base + Δ` snapshot for matrix engines,
+/// a frozen graph for the probe engine). Shared across reader threads
+/// behind an `Arc`; every answer drawn from one `Epoch` value is mutually
 /// consistent (the writer can never tear it).
 #[derive(Clone, Debug)]
 pub struct Epoch {
     seq: u64,
-    partition: ShardPartition,
     n: usize,
-    views: Vec<Arc<dyn SnapshotQuery>>,
-    /// `Some` for shards whose view was carried over because the live
-    /// engine was quarantined at publish time.
-    degraded: Vec<Option<DegradedInfo>>,
-    /// Shared router counter, bumped per read served from a stale view.
+    view: Arc<dyn SnapshotQuery>,
+    /// `Some` when the view was carried over because the engine was
+    /// quarantined at publish time.
+    degraded: Option<DegradedInfo>,
+    /// Shared handle counter, bumped per read served from a stale view.
     degraded_reads: Arc<AtomicU64>,
 }
 
@@ -1487,34 +1019,25 @@ impl Epoch {
         self.n
     }
 
-    /// `Some` when shard `s`'s view is a stale carry-over from before its
+    /// `Some` when the view is a stale carry-over from before a
     /// quarantine (reads of it are answered, marked
     /// [`ReadStatus::Degraded`], and counted).
-    ///
-    /// # Panics
-    /// Panics if `s` is not a shard index.
-    pub fn degraded(&self, s: usize) -> Option<DegradedInfo> {
-        self.degraded[s]
+    pub fn degraded(&self) -> Option<DegradedInfo> {
+        self.degraded
     }
 
-    /// `true` when any shard's view is a stale carry-over.
-    pub fn any_degraded(&self) -> bool {
-        self.degraded.iter().any(Option::is_some)
-    }
-
-    /// Routes a read of shard `s` through its degradation state: bumps
-    /// the shared counter and clamps ids past the frozen range (the view
-    /// predates those nodes — similarity evidence for them never reached
-    /// it, so they read as 0).
-    fn route(&self, s: usize, max_id: u32) -> (bool, ReadStatus) {
-        match self.degraded[s] {
+    /// Routes a read through the degradation state: bumps the shared
+    /// counter and clamps ids past the frozen range (the view predates
+    /// those nodes — similarity evidence for them never reached it, so
+    /// they read as 0).
+    fn route(&self, max_id: u32) -> (bool, ReadStatus) {
+        match self.degraded {
             None => (true, ReadStatus::Fresh),
             Some(d) => {
                 self.degraded_reads.fetch_add(1, Ordering::Relaxed);
                 (
                     (max_id as usize) < d.frozen_n,
                     ReadStatus::Degraded {
-                        shard: s,
                         since_seq: d.since_seq,
                     },
                 )
@@ -1522,10 +1045,10 @@ impl Epoch {
         }
     }
 
-    /// Similarity of one node pair (routing and canonical argument order
-    /// as in [`ShardedSimRank::pair`], so both orders read identically).
-    /// Reads of a degraded shard come from its frozen pre-quarantine view
-    /// — use [`Self::pair_with_status`] to observe that.
+    /// Similarity of one node pair, in canonical argument order as in
+    /// [`ShardedSimRank::pair`], so both orders read identically. A
+    /// degraded epoch answers from its frozen pre-quarantine view — use
+    /// [`Self::pair_with_status`] to observe that.
     ///
     /// # Panics
     /// Panics if either node is out of range; see [`Self::try_pair`].
@@ -1534,16 +1057,15 @@ impl Epoch {
     }
 
     /// [`Self::pair`] plus the freshness of the answer: **never panics on
-    /// a degraded shard** — ids appended after the quarantine read 0.0
+    /// a degraded epoch** — ids appended after the quarantine read 0.0
     /// from the frozen view instead of erroring.
     ///
     /// # Panics
-    /// Panics if either node is out of range *of a fresh shard's view*.
+    /// Panics if either node is out of range *of a fresh view*.
     pub fn pair_with_status(&self, a: u32, b: u32) -> (f64, ReadStatus) {
-        let s = self.partition.pair_owner(a, b);
-        let (in_range, status) = self.route(s, a.max(b));
+        let (in_range, status) = self.route(a.max(b));
         let v = if in_range {
-            self.views[s].pair(a.min(b), a.max(b))
+            self.view.pair(a.min(b), a.max(b))
         } else {
             0.0
         };
@@ -1567,10 +1089,9 @@ impl Epoch {
     /// [`Self::single_source`] plus freshness; a degraded answer covers
     /// only the frozen node range (empty when `a` itself postdates it).
     pub fn single_source_with_status(&self, a: u32) -> (Vec<RankedNode>, ReadStatus) {
-        let s = self.partition.owner(a);
-        let (in_range, status) = self.route(s, a);
+        let (in_range, status) = self.route(a);
         let v = if in_range {
-            self.views[s].single_source(a)
+            self.view.single_source(a)
         } else {
             Vec::new()
         };
@@ -1588,10 +1109,9 @@ impl Epoch {
     /// [`Self::top_k`] plus freshness; a degraded answer covers only the
     /// frozen node range (empty when `a` itself postdates it).
     pub fn top_k_with_status(&self, a: u32, k: usize) -> (Vec<RankedNode>, ReadStatus) {
-        let s = self.partition.owner(a);
-        let (in_range, status) = self.route(s, a);
+        let (in_range, status) = self.route(a);
         let v = if in_range {
-            self.views[s].top_k(a, k)
+            self.view.top_k(a, k)
         } else {
             Vec::new()
         };
@@ -1608,10 +1128,8 @@ impl Epoch {
     /// # Panics
     /// Panics if `a` is out of range.
     pub fn similar_above(&self, a: u32, threshold: f64) -> Vec<RankedNode> {
-        let s = self.partition.owner(a);
-        let (in_range, _) = self.route(s, a);
-        if in_range {
-            self.views[s].similar_above(a, threshold)
+        if self.route(a).0 {
+            self.view.similar_above(a, threshold)
         } else {
             Vec::new()
         }
@@ -1681,27 +1199,47 @@ impl PartialOrd for MoverKey {
     }
 }
 
-/// How the ring retains one shard of one past epoch.
+/// How the ring retains one past epoch.
 #[derive(Debug)]
-enum ShardDelta {
-    /// Factor pairs of `S_next − S_this` (matrix shards): `O(n·r)` heap,
+enum RingDelta {
+    /// Factor pairs of `S_next − S_this` (matrix engines): `O(n·r)` heap,
     /// reconstructed by stacking negated deltas onto the head's view.
     Dense(LowRankDelta),
-    /// Matrix-free shard: nothing stored here — the epoch's engine graph
+    /// Matrix-free engine: nothing stored here — the epoch's engine graph
     /// is recovered by replaying the recorded op slices from the ring
     /// tail's graph and rebuilding the (deterministic) engine.
     Replay,
     /// The view was carried over unchanged (quarantine, or an epoch whose
-    /// shard state is byte-identical to its successor): pin the `Arc`
-    /// itself — shared, so it costs no extra heap.
+    /// state is byte-identical to its successor): pin the `Arc` itself —
+    /// shared, so it costs no extra heap.
     Pinned(Arc<dyn SnapshotQuery>),
     /// Crash-recovery placeholder: the persisted log could not carry this
-    /// shard's delta across the restart (it was pinned or quarantined at
+    /// delta across the restart (the epoch was pinned or quarantined at
     /// persist time, or its recovery anchor could not be composed).
-    /// Reconstruction through it reports
-    /// [`ServeError::EpochChainBroken`]; entries on the head side of it
-    /// still answer.
+    /// Reconstruction through it reports [`ServeError::EpochChainBroken`];
+    /// entries on the head side of it still answer.
     Broken,
+}
+
+impl RingDelta {
+    /// The in-memory form of a persisted delta image.
+    fn from_image(img: wal::DeltaImage) -> Self {
+        match img {
+            wal::DeltaImage::Dense(d) => RingDelta::Dense(d),
+            wal::DeltaImage::Replay => RingDelta::Replay,
+            wal::DeltaImage::Broken => RingDelta::Broken,
+        }
+    }
+
+    /// The persisted form: a pinned `Arc` is this process's alias of
+    /// another epoch's view, not serializable as a delta.
+    fn to_image(&self) -> wal::DeltaImage {
+        match self {
+            RingDelta::Dense(d) => wal::DeltaImage::Dense(d.clone()),
+            RingDelta::Replay => wal::DeltaImage::Replay,
+            RingDelta::Pinned(_) | RingDelta::Broken => wal::DeltaImage::Broken,
+        }
+    }
 }
 
 /// One non-head epoch the ring retains, stored as material to rebuild it
@@ -1712,26 +1250,22 @@ struct RetainedEpoch {
     stamp: u64,
     at_op: u64,
     n: usize,
-    shards: Vec<ShardDelta>,
-    degraded: Vec<Option<DegradedInfo>>,
+    delta: RingDelta,
+    degraded: Option<DegradedInfo>,
     /// Ops committed between this epoch and its successor, in commit
-    /// order — the replay slice for matrix-free shards, and the material
-    /// [`ConcurrentSimRank`] uses to advance the tail graphs on eviction.
+    /// order — the replay slice for a matrix-free engine, and the material
+    /// [`ConcurrentSimRank`] uses to advance the tail graph on eviction.
     ops_to_next: Vec<ReplayOp>,
 }
 
 impl RetainedEpoch {
     fn retained_bytes(&self) -> usize {
-        let factors: usize = self
-            .shards
-            .iter()
-            .map(|s| match s {
-                ShardDelta::Dense(d) => d.heap_bytes(),
-                // Pinned shares the successor's Arc; Replay is priced by
-                // the op slice below; Broken stores nothing.
-                ShardDelta::Replay | ShardDelta::Pinned(_) | ShardDelta::Broken => 0,
-            })
-            .sum();
+        let factors = match &self.delta {
+            RingDelta::Dense(d) => d.heap_bytes(),
+            // Pinned shares the successor's Arc; Replay is priced by the
+            // op slice below; Broken stores nothing.
+            RingDelta::Replay | RingDelta::Pinned(_) | RingDelta::Broken => 0,
+        };
         factors + self.ops_to_next.capacity() * std::mem::size_of::<ReplayOp>()
     }
 }
@@ -1780,6 +1314,19 @@ fn effective_matrix(ss: &ScoreSnapshot) -> Cow<'_, DenseMatrix> {
     }
 }
 
+/// Rolls `g` forward through `ops`; `false` when a recorded op does not
+/// apply (a bookkeeping bug, e.g. a write through
+/// [`ConcurrentSimRank::sharded_mut`] that bypassed the recorder).
+fn replay_into(g: &mut DiGraph, ops: &[ReplayOp]) -> bool {
+    ops.iter().all(|op| match op {
+        ReplayOp::AddNode => {
+            g.add_node();
+            true
+        }
+        ReplayOp::Edge(e) => e.apply(g).is_ok(),
+    })
+}
+
 /// The swap slot shared between the writer and every reader. `RwLock` is
 /// held only to clone or replace the `Arc` — queries run outside it.
 struct EpochSlot {
@@ -1818,7 +1365,7 @@ impl EpochSlot {
 /// diffs two of them. Only the head is kept dense; each older epoch is
 /// stored as a factor-compressed delta against its successor (`O(n·r)`
 /// heap per retained epoch — see [`Self::retained_heap_bytes`]) and
-/// reconstructed on demand. Matrix-free shards are retained by **graph
+/// reconstructed on demand. A matrix-free engine is retained by **graph
 /// replay** instead: the ring records the committed op slice between
 /// epochs and rebuilds the (deterministic) engine at the requested epoch,
 /// so a reconstructed probe answer is seed-identical to the answer the
@@ -1838,14 +1385,14 @@ pub struct ConcurrentSimRank {
     /// Ops committed since the head epoch was published — becomes the
     /// displaced head's `ops_to_next` slice at the next publish.
     pending_ops: Vec<ReplayOp>,
-    /// Per matrix-free shard: its engine-graph state at the ring's oldest
-    /// retained epoch (`None` for matrix shards, or after a replay
-    /// failure poisoned the tail). Advanced forward on eviction.
-    tail_graphs: Vec<Option<DiGraph>>,
+    /// A matrix-free engine's graph at the ring's oldest retained epoch
+    /// (`None` for a matrix engine, or after a replay failure poisoned
+    /// the tail). Advanced forward on eviction.
+    tail_graph: Option<DiGraph>,
     epochs_retained: u64,
     epoch_evictions: u64,
     epoch_reconstructions: AtomicU64,
-    /// Whether pre-incarnation epochs are addressable (durable routers).
+    /// Whether pre-incarnation epochs are addressable (durable handles).
     history: HistoryStatus,
     /// Highest pre-crash epoch sequence the log named without being able
     /// to restore it: misses at or below this report
@@ -1855,8 +1402,8 @@ pub struct ConcurrentSimRank {
 }
 
 impl ConcurrentSimRank {
-    /// Wraps a router, publishing epoch 0 from its current state. A
-    /// router recovered from a log with a persisted epoch ring rehydrates
+    /// Wraps a write path, publishing epoch 0 from its current state. A
+    /// handle recovered from a log with a persisted epoch ring rehydrates
     /// the ring instead: the pre-crash epochs answer time-travel reads
     /// again, and the head is published *past* the pre-crash numbering
     /// (see [`Self::history_status`]).
@@ -1886,15 +1433,8 @@ impl ConcurrentSimRank {
         let slot = Arc::new(EpochSlot {
             current: RwLock::new(Arc::clone(&head)),
         });
-        let tail_graphs = if retain > 1 {
-            inner
-                .shards
-                .iter()
-                .map(|s| s.is_matrix_free().then(|| s.graph().clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let tail_graph =
+            (retain > 1 && inner.engine.is_matrix_free()).then(|| inner.engine.graph().clone());
         let at_op = inner.last_seq();
         let mut srv = ConcurrentSimRank {
             inner,
@@ -1908,7 +1448,7 @@ impl ConcurrentSimRank {
                 at_op,
             },
             pending_ops: Vec::new(),
-            tail_graphs,
+            tail_graph,
             epochs_retained: 0,
             epoch_evictions: 0,
             epoch_reconstructions: AtomicU64::new(0),
@@ -1922,7 +1462,7 @@ impl ConcurrentSimRank {
             suffix_ops,
         }) = pending
         {
-            srv.rehydrate_ring(&head, meta, deltas, &cp_scores, suffix_ops);
+            srv.rehydrate_ring(&head, *meta, deltas, cp_scores.as_ref(), suffix_ops);
         }
         // A fresh durable build just wrote its base checkpoint at seq 0;
         // persist the ring round against it so retained history survives
@@ -1944,8 +1484,8 @@ impl ConcurrentSimRank {
 
     /// Splices a recovered ring round back in: the persisted entries are
     /// adopted verbatim, and the persisted head becomes the newest ring
-    /// entry — per matrix shard its delta to the just-published live head
-    /// is `anchor ⊕ suffix`, the anchor persisted with the round
+    /// entry — for a matrix engine its delta to the just-published live
+    /// head is `anchor ⊕ suffix`, the anchor persisted with the round
     /// (head→checkpoint) and the suffix diffed here between the decoded
     /// checkpoint scores and the recovered live scores (checkpoint→live).
     fn rehydrate_ring(
@@ -1953,50 +1493,39 @@ impl ConcurrentSimRank {
         head: &Epoch,
         meta: wal::EpochMetaRecord,
         deltas: Vec<wal::EpochDeltaRecord>,
-        cp_scores: &[Option<DenseMatrix>],
+        cp_scores: Option<&DenseMatrix>,
         suffix_ops: Vec<ReplayOp>,
     ) {
-        let shard_count = self.inner.shards.len();
         let restored = deltas.len() as u64 + 1;
-        let to_delta = |img: wal::ShardDeltaImage| match img {
-            wal::ShardDeltaImage::Dense(d) => ShardDelta::Dense(d),
-            wal::ShardDeltaImage::Replay => ShardDelta::Replay,
-            wal::ShardDeltaImage::Broken => ShardDelta::Broken,
-        };
         for d in deltas {
             self.ring.push_back(RetainedEpoch {
                 seq: d.seq,
                 stamp: d.stamp,
                 at_op: d.at_op,
                 n: d.n,
-                shards: d.shards.into_iter().map(to_delta).collect(),
-                degraded: vec![None; shard_count],
+                delta: RingDelta::from_image(d.delta),
+                degraded: None,
                 ops_to_next: d.ops,
             });
         }
-        let mut shards = Vec::with_capacity(shard_count);
-        for ((anchor_img, cp), view) in meta.anchors.iter().zip(cp_scores).zip(&head.views) {
-            match anchor_img {
-                wal::ShardDeltaImage::Replay => shards.push(ShardDelta::Replay),
-                wal::ShardDeltaImage::Broken => shards.push(ShardDelta::Broken),
-                wal::ShardDeltaImage::Dense(anchor) => {
-                    let head_n = view.n();
-                    let composed = cp
-                        .as_ref()
-                        .zip(view.score_snapshot())
-                        .filter(|(cp, _)| cp.rows() <= head_n && anchor.dim() <= head_n)
-                        .map(|(cp, live)| {
-                            let live_eff = effective_matrix(live);
-                            let (suffix, _) = LowRankDelta::between(cp, &live_eff, self.delta_tol);
-                            let mut d = LowRankDelta::new(head_n);
-                            d.extend(anchor);
-                            d.extend(&suffix);
-                            d
-                        });
-                    shards.push(composed.map_or(ShardDelta::Broken, ShardDelta::Dense));
-                }
+        let delta = match meta.anchor {
+            wal::DeltaImage::Dense(anchor) => {
+                let head_n = head.view.n();
+                let composed = cp_scores
+                    .zip(head.view.score_snapshot())
+                    .filter(|(cp, _)| cp.rows() <= head_n && anchor.dim() <= head_n)
+                    .map(|(cp, live)| {
+                        let live_eff = effective_matrix(live);
+                        let (suffix, _) = LowRankDelta::between(cp, &live_eff, self.delta_tol);
+                        let mut d = LowRankDelta::new(head_n);
+                        d.extend(&anchor);
+                        d.extend(&suffix);
+                        d
+                    });
+                composed.map_or(RingDelta::Broken, RingDelta::Dense)
             }
-        }
+            other => RingDelta::from_image(other),
+        };
         let mut ops_to_next = meta.pending;
         ops_to_next.extend(suffix_ops);
         self.ring.push_back(RetainedEpoch {
@@ -2004,23 +1533,17 @@ impl ConcurrentSimRank {
             stamp: meta.head_stamp,
             at_op: meta.head_at_op,
             n: meta.head_n,
-            shards,
-            degraded: vec![None; shard_count],
+            delta,
+            degraded: None,
             ops_to_next,
         });
         self.epochs_retained += restored;
-        self.tail_graphs = meta.tails;
+        self.tail_graph = meta.tail;
         // The current retention window may be narrower than the persisted
         // one (or the spliced head overflows it): evict from the tail,
-        // advancing the matrix-free tail graphs exactly as live eviction
+        // advancing the matrix-free tail graph exactly as live eviction
         // does.
-        while self.ring.len() > self.retain.saturating_sub(1) {
-            let Some(evicted) = self.ring.pop_front() else {
-                break;
-            };
-            self.advance_tail(&evicted);
-            self.epoch_evictions += 1;
-        }
+        self.evict_past_horizon();
     }
 
     /// A new reader handle. Readers are independent: clone one per
@@ -2031,11 +1554,12 @@ impl ConcurrentSimRank {
         }
     }
 
-    /// Freezes the current shard states into a new epoch and swaps it in;
-    /// returns its sequence number. Pending lazy ΔS is snapshotted, not
-    /// materialised. Quarantined shards keep their last published view
-    /// (readers keep being answered, marked [`ReadStatus::Degraded`]) —
-    /// **a shard crash never takes reads down**.
+    /// Freezes the engine's current state into a new epoch and swaps it
+    /// in; returns its sequence number. Pending lazy ΔS is snapshotted,
+    /// not materialised. A quarantined engine keeps its last published
+    /// view (readers keep being answered, marked
+    /// [`ReadStatus::Degraded`]) — **an engine crash never takes reads
+    /// down**.
     ///
     /// Stamps the epoch with the current op sequence number; use
     /// [`Self::publish_stamped`] to attach an external stamp (e.g. a
@@ -2074,9 +1598,9 @@ impl ConcurrentSimRank {
     pub fn publish_stamped(&mut self, stamp: u64) -> u64 {
         self.seq += 1;
         // Build the epoch before touching the slot: readers keep serving
-        // the old epoch during the freeze (pointer clones of the shards'
-        // matrices plus their pending factors) and only ever wait on the
-        // pointer swap itself.
+        // the old epoch during the freeze (a pointer clone of the
+        // engine's matrix plus its pending factors) and only ever wait on
+        // the pointer swap itself.
         let prev = self.slot.load();
         let epoch = Arc::new(self.inner.snapshot_epoch(self.seq, Some(&prev)));
         if self.retain > 1 {
@@ -2095,78 +1619,52 @@ impl ConcurrentSimRank {
     /// Compresses the displaced head epoch into the ring and evicts past
     /// the retention horizon.
     fn retain_previous(&mut self, prev: &Epoch, next: &Epoch) {
-        let ops = std::mem::take(&mut self.pending_ops);
-        let mut shards = Vec::with_capacity(prev.views.len());
-        for s in 0..prev.views.len() {
-            let pv = &prev.views[s];
-            let nv = &next.views[s];
-            // A carried-over (degraded) view, on either side, breaks the
-            // "delta against successor" construction — pin the Arc
-            // instead (shared with the epoch itself, so ~free).
-            let carried =
-                Arc::ptr_eq(pv, nv) || prev.degraded[s].is_some() || next.degraded[s].is_some();
-            if carried {
-                shards.push(ShardDelta::Pinned(Arc::clone(pv)));
-            } else if let (Some(ps), Some(ns)) = (pv.score_snapshot(), nv.score_snapshot()) {
-                let from = effective_matrix(ps);
-                let to = effective_matrix(ns);
-                let (delta, _dropped) = LowRankDelta::between(&from, &to, self.delta_tol);
-                shards.push(ShardDelta::Dense(delta));
-            } else {
-                shards.push(ShardDelta::Replay);
-            }
-        }
+        // A carried-over (degraded) view, on either side, breaks the
+        // "delta against successor" construction — pin the Arc instead
+        // (shared with the epoch itself, so ~free).
+        let carried = Arc::ptr_eq(&prev.view, &next.view)
+            || prev.degraded.is_some()
+            || next.degraded.is_some();
+        let delta = if carried {
+            RingDelta::Pinned(Arc::clone(&prev.view))
+        } else if let (Some(ps), Some(ns)) =
+            (prev.view.score_snapshot(), next.view.score_snapshot())
+        {
+            let from = effective_matrix(ps);
+            let to = effective_matrix(ns);
+            RingDelta::Dense(LowRankDelta::between(&from, &to, self.delta_tol).0)
+        } else {
+            RingDelta::Replay
+        };
         self.ring.push_back(RetainedEpoch {
             seq: prev.seq(),
             stamp: self.head_meta.stamp,
             at_op: self.head_meta.at_op,
             n: prev.n(),
-            shards,
-            degraded: prev.degraded.clone(),
-            ops_to_next: ops,
+            delta,
+            degraded: prev.degraded,
+            ops_to_next: std::mem::take(&mut self.pending_ops),
         });
         self.epochs_retained += 1;
-        while self.ring.len() > self.retain - 1 {
-            if let Some(evicted) = self.ring.pop_front() {
-                self.advance_tail(&evicted);
-                self.epoch_evictions += 1;
-            }
-        }
+        self.evict_past_horizon();
     }
 
-    /// Rolls every matrix-free tail graph forward across an evicted
-    /// epoch's op slice, restoring the invariant that the tail graphs
-    /// mirror the oldest *retained* epoch.
-    fn advance_tail(&mut self, evicted: &RetainedEpoch) {
-        let partition = self.inner.partition;
-        for (s, slot) in self.tail_graphs.iter_mut().enumerate() {
-            let Some(g) = slot.as_mut() else { continue };
-            let mut poisoned = false;
-            for op in &evicted.ops_to_next {
-                match op {
-                    ReplayOp::AddNode => {
-                        g.add_node();
-                    }
-                    ReplayOp::Edge(e) => {
-                        let (i, j) = e.endpoints();
-                        // Mirror live routing: the shard engine only ever
-                        // saw ops it owned an endpoint of.
-                        if (partition.owner(i) == s || partition.owner(j) == s)
-                            && e.apply(g).is_err()
-                        {
-                            poisoned = true;
-                            break;
-                        }
-                    }
+    /// Drops ring entries past the retention horizon, oldest first,
+    /// rolling the matrix-free tail graph forward across each evicted
+    /// epoch's op slice so it keeps mirroring the oldest *retained* epoch.
+    fn evict_past_horizon(&mut self) {
+        while self.ring.len() > self.retain.saturating_sub(1) {
+            let Some(evicted) = self.ring.pop_front() else {
+                break;
+            };
+            if let Some(g) = self.tail_graph.as_mut() {
+                if !replay_into(g, &evicted.ops_to_next) {
+                    // Poison the tail so reconstruction reports a typed
+                    // Internal error instead of a wrong answer.
+                    self.tail_graph = None;
                 }
             }
-            if poisoned {
-                // A recorded op failing to replay is a bookkeeping bug
-                // (e.g. mutations through `sharded_mut` bypassing the
-                // recorder); poison the tail so reconstruction reports a
-                // typed Internal error instead of a wrong answer.
-                *slot = None;
-            }
+            self.epoch_evictions += 1;
         }
     }
 
@@ -2196,48 +1694,44 @@ impl ConcurrentSimRank {
     }
 
     /// Persists the ring when the inner call just wrote a checkpoint
-    /// round (the counter moved): the epoch frames ride the same log,
-    /// anchored to the images that round embedded.
+    /// (the counter moved): the epoch frames ride the same log, anchored
+    /// to the image that checkpoint embedded.
     fn persist_ring_if_checkpointed(&mut self, mark: u64) {
         if self.retain > 1 && self.checkpoint_mark() > mark {
             self.persist_ring();
         }
     }
 
-    /// Appends the temporal ring to the WAL alongside the checkpoint
-    /// round the router just wrote: one delta frame per retained epoch
-    /// plus the meta trailer — head stamps, the per-shard anchor from the
-    /// head epoch's views to the live (checkpointed) state, the pending
-    /// op slice, and the matrix-free tail graphs. Best-effort: a failure
-    /// costs pre-crash history at the next recovery, never the op stream.
+    /// Appends the temporal ring to the WAL alongside the checkpoint the
+    /// write path just wrote: one delta frame per retained epoch plus the
+    /// meta trailer — head stamps, the anchor from the head epoch's view
+    /// to the live (checkpointed) state, the pending op slice, and the
+    /// matrix-free tail graph. Best-effort: a failure costs pre-crash
+    /// history at the next recovery, never the op stream.
     fn persist_ring(&mut self) {
         if self.retain <= 1 || self.inner.wal.is_none() {
             return;
         }
         let cp_seq = self.inner.last_seq;
         let head = self.slot.load();
-        let mut anchors = Vec::with_capacity(self.inner.shards.len());
-        for s in 0..self.inner.shards.len() {
-            let healthy = matches!(self.inner.health[s], ShardHealth::Healthy);
-            if !healthy || head.degraded[s].is_some() {
-                anchors.push(wal::ShardDeltaImage::Broken);
-            } else if self.inner.shards[s].is_matrix_free() {
-                anchors.push(wal::ShardDeltaImage::Replay);
-            } else {
-                // A pointer clone of the live matrix plus a copy of its
-                // pending factors, not an n² copy.
-                let live = self.inner.shards[s].snapshot_query();
-                match (head.views[s].score_snapshot(), live.score_snapshot()) {
-                    (Some(hs), Some(ls)) => {
-                        let from = effective_matrix(hs);
-                        let to = effective_matrix(ls);
-                        let (delta, _dropped) = LowRankDelta::between(&from, &to, self.delta_tol);
-                        anchors.push(wal::ShardDeltaImage::Dense(delta));
-                    }
-                    _ => anchors.push(wal::ShardDeltaImage::Broken),
+        let engine = &self.inner.engine;
+        let anchor = if self.inner.health != Health::Healthy || head.degraded.is_some() {
+            wal::DeltaImage::Broken
+        } else if engine.is_matrix_free() {
+            wal::DeltaImage::Replay
+        } else {
+            // A pointer clone of the live matrix plus a copy of its
+            // pending factors, not an n² copy.
+            let live = engine.snapshot_query();
+            match (head.view.score_snapshot(), live.score_snapshot()) {
+                (Some(hs), Some(ls)) => {
+                    let from = effective_matrix(hs);
+                    let to = effective_matrix(ls);
+                    wal::DeltaImage::Dense(LowRankDelta::between(&from, &to, self.delta_tol).0)
                 }
+                _ => wal::DeltaImage::Broken,
             }
-        }
+        };
         let deltas: Vec<wal::EpochDeltaRecord> = self
             .ring
             .iter()
@@ -2247,17 +1741,7 @@ impl ConcurrentSimRank {
                 stamp: e.stamp,
                 at_op: e.at_op,
                 n: e.n,
-                shards: e
-                    .shards
-                    .iter()
-                    .map(|sd| match sd {
-                        ShardDelta::Dense(d) => wal::ShardDeltaImage::Dense(d.clone()),
-                        ShardDelta::Replay => wal::ShardDeltaImage::Replay,
-                        // A pinned Arc is this process's alias of another
-                        // epoch's view — not serializable as a delta.
-                        ShardDelta::Pinned(_) | ShardDelta::Broken => wal::ShardDeltaImage::Broken,
-                    })
-                    .collect(),
+                delta: e.delta.to_image(),
                 ops: e.ops_to_next.clone(),
             })
             .collect();
@@ -2269,9 +1753,9 @@ impl ConcurrentSimRank {
             head_n: head.n(),
             retain: self.retain,
             entries: deltas.len(),
-            anchors,
+            anchor,
             pending: self.pending_ops.clone(),
-            tails: self.tail_graphs.clone(),
+            tail: self.tail_graph.clone(),
         };
         if let Some(w) = self.inner.wal.as_mut() {
             let _ = w.append_epoch_ring(&deltas, &meta);
@@ -2311,30 +1795,22 @@ impl ConcurrentSimRank {
         r
     }
 
-    /// Applies a batch on the write path (atomic; parallel across shards).
+    /// Applies a batch on the write path (atomic; see
+    /// [`ShardedSimRank::update_batch`]).
     pub fn update_batch(&mut self, ops: &[UpdateOp]) -> Result<Vec<UpdateStats>, ServeError> {
-        self.update_batch_with_threads(ops, serve_threads())
-    }
-
-    /// [`ShardedSimRank::update_batch_with_threads`] on the write path.
-    pub fn update_batch_with_threads(
-        &mut self,
-        ops: &[UpdateOp],
-        threads: usize,
-    ) -> Result<Vec<UpdateStats>, ServeError> {
         let before = self.inner.last_seq();
         let mark = self.checkpoint_mark();
-        let r = self.inner.update_batch_with_threads(ops, threads);
+        let r = self.inner.update_batch(ops);
         self.record_edges(before, ops);
         self.persist_ring_if_checkpointed(mark);
         r
     }
 
-    /// [`ShardedSimRank::rebuild_shard`] on the write path, followed by a
+    /// [`ShardedSimRank::rebuild`] on the write path, followed by a
     /// publish so readers immediately leave the degraded view.
-    pub fn rebuild_shard(&mut self, s: usize) -> Result<(), ServeError> {
+    pub fn rebuild(&mut self) -> Result<(), ServeError> {
         let mark = self.checkpoint_mark();
-        self.inner.rebuild_shard(s)?;
+        self.inner.rebuild()?;
         self.publish();
         // The rebuild appended a hygiene checkpoint; re-anchor the ring
         // to it after the publish above so the persisted round sees the
@@ -2343,19 +1819,18 @@ impl ConcurrentSimRank {
         Ok(())
     }
 
-    /// Materialises pending deferred ΔS on every shard **and publishes**
-    /// the result as a new epoch (the one mutation that should always be
-    /// immediately visible); returns the rank-two terms applied.
+    /// Materialises pending deferred ΔS **and publishes** the result as a
+    /// new epoch (the one mutation that should always be immediately
+    /// visible); returns the rank-two terms applied.
     pub fn flush(&mut self) -> usize {
         let pairs = self.inner.flush();
         self.publish();
         pairs
     }
 
-    /// Recompresses pending deferred ΔS on every shard in place (no
-    /// publish needed: compression changes no observable score, only the
-    /// factor count behind future epochs). Returns the largest pending
-    /// rank that remains.
+    /// Recompresses pending deferred ΔS in place (no publish needed:
+    /// compression changes no observable score, only the factor count
+    /// behind future epochs). Returns the pending rank that remains.
     pub fn compress_pending(&mut self) -> usize {
         self.inner.compress_pending()
     }
@@ -2363,9 +1838,7 @@ impl ConcurrentSimRank {
     // ---- temporal (epoch-addressed) reads ------------------------------
 
     /// Every epoch the ring can still answer at, oldest first — the
-    /// retained tail plus the head. Empty only before the first publish
-    /// when retention is off (retention on always lists at least the
-    /// head).
+    /// retained tail plus the head.
     pub fn epochs(&self) -> Vec<EpochInfo> {
         let mut out: Vec<EpochInfo> = self
             .ring
@@ -2390,25 +1863,19 @@ impl ConcurrentSimRank {
     }
 
     /// Heap bytes the temporal ring holds beyond the head epoch: factor
-    /// deltas, replay op slices, and the matrix-free tail graphs. This is
+    /// deltas, replay op slices, and the matrix-free tail graph. This is
     /// the quantity [`SimRankBuilder::retain_epochs`] trades for
     /// time-travel — `O(E·n·r)`, not `O(E·n²)`.
     pub fn retained_heap_bytes(&self) -> usize {
         let ring: usize = self.ring.iter().map(RetainedEpoch::retained_bytes).sum();
-        let tails: usize = self
-            .tail_graphs
-            .iter()
-            .flatten()
-            .map(DiGraph::heap_bytes)
-            .sum();
-        ring + tails
+        ring + self.tail_graph.as_ref().map_or(0, DiGraph::heap_bytes)
     }
 
-    /// Pins epoch `seq` as a queryable [`Epoch`], reconstructing retained
-    /// shards on demand: the head is returned as-is (zero cost), a ring
-    /// epoch stacks its negated factor deltas onto the head's views (or
-    /// replays its graph slice, for matrix-free shards). Hold the result
-    /// across a batch of queries — reconstruction is per-call, not
+    /// Pins epoch `seq` as a queryable [`Epoch`], reconstructing a
+    /// retained one on demand: the head is returned as-is (zero cost), a
+    /// ring epoch stacks its negated factor deltas onto the head's view
+    /// (or replays its graph slice, for a matrix-free engine). Hold the
+    /// result across a batch of queries — reconstruction is per-call, not
     /// cached.
     pub fn epoch_at(&self, seq: u64) -> Result<Arc<Epoch>, ServeError> {
         let head = self.slot.load();
@@ -2419,17 +1886,13 @@ impl ConcurrentSimRank {
             return Err(self.missing_epoch(seq));
         };
         let entry = &self.ring[idx];
-        let mut views: Vec<Arc<dyn SnapshotQuery>> = Vec::with_capacity(entry.shards.len());
-        for s in 0..entry.shards.len() {
-            views.push(self.reconstruct_shard(s, idx, &head)?);
-        }
+        let view = self.reconstruct(idx, &head)?;
         self.epoch_reconstructions.fetch_add(1, Ordering::Relaxed);
         Ok(Arc::new(Epoch {
             seq,
-            partition: self.inner.partition,
             n: entry.n,
-            views,
-            degraded: entry.degraded.clone(),
+            view,
+            degraded: entry.degraded,
             degraded_reads: Arc::clone(&self.inner.degraded_reads),
         }))
     }
@@ -2448,44 +1911,31 @@ impl ConcurrentSimRank {
         ServeError::NoSuchEpoch { seq }
     }
 
-    /// One shard's view at ring index `idx`, rebuilt from the head.
-    fn reconstruct_shard(
-        &self,
-        s: usize,
-        idx: usize,
-        head: &Epoch,
-    ) -> Result<Arc<dyn SnapshotQuery>, ServeError> {
+    /// The view at ring index `idx`, rebuilt from the head.
+    fn reconstruct(&self, idx: usize, head: &Epoch) -> Result<Arc<dyn SnapshotQuery>, ServeError> {
         let entry = &self.ring[idx];
-        match &entry.shards[s] {
-            ShardDelta::Pinned(v) => Ok(Arc::clone(v)),
-            ShardDelta::Broken => Err(ServeError::EpochChainBroken {
-                seq: entry.seq,
-                shard: s,
-            }),
-            ShardDelta::Dense(_) => {
+        match &entry.delta {
+            RingDelta::Pinned(v) => Ok(Arc::clone(v)),
+            RingDelta::Broken => Err(ServeError::EpochChainBroken { seq: entry.seq }),
+            RingDelta::Dense(_) => {
                 // S_epoch = S_head − Σ (per-epoch deltas from here to the
                 // head); each ring entry stores S_next − S_this, so the
                 // negated stack of entries idx..end rolls the head back.
-                let mut stack = LowRankDelta::new(head.views[s].n());
+                let mut stack = LowRankDelta::new(head.view.n());
                 for e in self.ring.iter().skip(idx) {
-                    match &e.shards[s] {
-                        ShardDelta::Dense(d) => stack.extend_negated(d),
-                        _ => {
-                            return Err(ServeError::EpochChainBroken {
-                                seq: entry.seq,
-                                shard: s,
-                            })
-                        }
+                    match &e.delta {
+                        RingDelta::Dense(d) => stack.extend_negated(d),
+                        _ => return Err(ServeError::EpochChainBroken { seq: entry.seq }),
                     }
                 }
                 Ok(Arc::new(DeltaSnapshot::new(
-                    Arc::clone(&head.views[s]),
+                    Arc::clone(&head.view),
                     stack,
                     entry.n,
                 )))
             }
-            ShardDelta::Replay => {
-                let Some(tail) = self.tail_graphs.get(s).and_then(Option::as_ref) else {
+            RingDelta::Replay => {
+                let Some(tail) = self.tail_graph.as_ref() else {
                     return Err(ServeError::Internal(
                         "replay tail graph missing or poisoned",
                     ));
@@ -2495,24 +1945,9 @@ impl ConcurrentSimRank {
                 // (graph, config), so this is seed-identical to the view
                 // the epoch published live.
                 let mut g = tail.clone();
-                let partition = self.inner.partition;
                 for e in self.ring.iter().take(idx) {
-                    for op in &e.ops_to_next {
-                        match op {
-                            ReplayOp::AddNode => {
-                                g.add_node();
-                            }
-                            ReplayOp::Edge(eop) => {
-                                let (i, j) = eop.endpoints();
-                                if (partition.owner(i) == s || partition.owner(j) == s)
-                                    && eop.apply(&mut g).is_err()
-                                {
-                                    return Err(ServeError::Internal(
-                                        "recorded op failed to replay",
-                                    ));
-                                }
-                            }
-                        }
+                    if !replay_into(&mut g, &e.ops_to_next) {
+                        return Err(ServeError::Internal("recorded op failed to replay"));
                     }
                 }
                 let engine = self.inner.builder.clone().from_graph(g)?;
@@ -2578,8 +2013,8 @@ impl ConcurrentSimRank {
     ///
     /// # Errors
     /// [`ServeError::NoSuchEpoch`] if either epoch is not retained;
-    /// [`ServeError::MatrixFree`] if a shard in range is retained by
-    /// replay (probe shards have no dense deltas to scan);
+    /// [`ServeError::MatrixFree`] if the engine is retained by replay
+    /// (probe engines have no dense deltas to scan);
     /// [`ServeError::EpochChainBroken`] if a quarantine interrupted the
     /// delta chain between the two epochs.
     pub fn top_movers(&self, e1: u64, e2: u64, k: usize) -> Result<Vec<Mover>, ServeError> {
@@ -2599,51 +2034,35 @@ impl ConcurrentSimRank {
         if lo == hi || k == 0 {
             return Ok(Vec::new());
         }
-        let n_lo = if idx_lo == self.ring.len() {
-            head.n()
-        } else {
-            self.ring[idx_lo].n
-        };
-        let n_hi = if idx_hi == self.ring.len() {
-            head.n()
-        } else {
-            self.ring[idx_hi].n
-        };
+        let n_at = |idx: usize| self.ring.get(idx).map_or(head.n(), |e| e.n);
+        let (n_lo, n_hi) = (n_at(idx_lo), n_at(idx_hi));
 
-        // Per shard, stack the negated deltas spanning [lo, hi): the
-        // stack reads as S_lo − S_hi.
-        let shard_count = self.inner.shards.len();
-        let mut stacks: Vec<LowRankDelta> = Vec::with_capacity(shard_count);
-        for s in 0..shard_count {
-            let mut stack = LowRankDelta::new(n_hi);
-            for e in self.ring.iter().take(idx_hi).skip(idx_lo) {
-                match &e.shards[s] {
-                    ShardDelta::Dense(d) => stack.extend_negated(d),
-                    ShardDelta::Replay => {
-                        return Err(ServeError::MatrixFree {
-                            query: "top_movers",
-                        })
-                    }
-                    ShardDelta::Pinned(_) | ShardDelta::Broken => {
-                        return Err(ServeError::EpochChainBroken { seq: lo, shard: s })
-                    }
+        // Stack the negated deltas spanning [lo, hi): the stack reads as
+        // S_lo − S_hi.
+        let mut stack = LowRankDelta::new(n_hi);
+        for e in self.ring.iter().take(idx_hi).skip(idx_lo) {
+            match &e.delta {
+                RingDelta::Dense(d) => stack.extend_negated(d),
+                RingDelta::Replay => {
+                    return Err(ServeError::MatrixFree {
+                        query: "top_movers",
+                    })
+                }
+                RingDelta::Pinned(_) | RingDelta::Broken => {
+                    return Err(ServeError::EpochChainBroken { seq: lo })
                 }
             }
-            stacks.push(stack);
         }
 
         // Caller-order sign: stack = S_lo − S_hi, the answer wants
         // S_e2 − S_e1.
         let dir = if e2 >= e1 { -1.0 } else { 1.0 };
-        let partition = self.inner.partition;
         let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<MoverKey>> =
             std::collections::BinaryHeap::with_capacity(k + 1);
         let mut row = vec![0.0_f64; n_hi];
         for a in 0..n_lo as u32 {
-            // Pair (a, b) with a < b routes to a's owner, as live.
-            let s = partition.owner(a);
             row.iter_mut().for_each(|x| *x = 0.0);
-            stacks[s].add_row_delta(a as usize, &mut row);
+            stack.add_row_delta(a as usize, &mut row);
             for b in (a + 1)..n_lo as u32 {
                 let delta = dir * row[b as usize];
                 if delta == 0.0 {
@@ -2677,7 +2096,7 @@ impl ConcurrentSimRank {
             .collect())
     }
 
-    /// Router counters plus the temporal ring's own: epochs retained,
+    /// Write-path counters plus the temporal ring's own: epochs retained,
     /// evictions past the horizon, and on-demand reconstructions.
     pub fn counters(&self) -> ModeCounters {
         let mut c = self.inner.counters();
@@ -2687,17 +2106,18 @@ impl ConcurrentSimRank {
         c
     }
 
-    /// The wrapped router — fresh (unpublished) state, for the writer's
-    /// own reads and introspection.
+    /// The wrapped write path — fresh (unpublished) state, for the
+    /// writer's own reads and introspection.
     pub fn sharded(&self) -> &ShardedSimRank {
         &self.inner
     }
 
-    /// Mutable access to the wrapped router (escape hatch; remember that
-    /// readers only see published epochs, and that mutations through this
-    /// handle bypass the temporal ring's op recorder — matrix shards
-    /// still diff correctly at the next publish, but matrix-free replay
-    /// reconstruction will no longer match and reports a typed error).
+    /// Mutable access to the wrapped write path (escape hatch; remember
+    /// that readers only see published epochs, and that mutations through
+    /// this handle bypass the temporal ring's op recorder — a matrix
+    /// engine still diffs correctly at the next publish, but matrix-free
+    /// replay reconstruction will no longer match and reports a typed
+    /// error).
     pub fn sharded_mut(&mut self) -> &mut ShardedSimRank {
         &mut self.inner
     }
@@ -2789,9 +2209,6 @@ pub struct LoadOptions {
     /// Publish a fresh epoch every this many batches (a final epoch is
     /// always published when the window closes).
     pub publish_every: usize,
-    /// Worker-thread cap for the per-shard batch fan-out
-    /// ([`ShardedSimRank::update_batch_with_threads`]).
-    pub writer_threads: usize,
     /// Seed of the writer's toggle stream.
     pub seed: u64,
 }
@@ -2826,10 +2243,10 @@ impl LoadReport {
 /// `concurrent_throughput` case and `incsim-cli serve`: `readers` threads
 /// issue batches of 256 pair queries against pinned epochs (one
 /// [`EpochReader::epoch`] per batch) while the writer applies
-/// [`LoadOptions::write_batch`]-sized toggle batches — spread round-robin
-/// across the shard blocks so the per-shard fan-out stays balanced —
-/// publishing on the configured cadence and once more when the window
-/// closes. Blocks until every thread has joined, even on writer error.
+/// [`LoadOptions::write_batch`]-sized batches of random edge toggles over
+/// the whole node range, publishing on the configured cadence and once
+/// more when the window closes. Blocks until every thread has joined,
+/// even on writer error.
 ///
 /// # Panics
 /// Panics if the graph has fewer than 2 nodes, or `readers`,
@@ -2847,18 +2264,6 @@ pub fn drive_load(
         opts.readers > 0 && opts.write_batch > 0 && opts.publish_every > 0,
         "drive_load: readers, write_batch and publish_every must be positive"
     );
-    // Toggle targets: the shard blocks (round-robin keeps the fan-out
-    // balanced); blocks too small to toggle within (
-    // < 2 ids, e.g. with more shards than nodes) fall back to the
-    // whole id range.
-    let partition = *serving.sharded().partition();
-    let mut blocks: Vec<std::ops::Range<u32>> = (0..partition.shard_count())
-        .map(|s| partition.owned_block(s, n))
-        .filter(|r| r.end - r.start >= 2)
-        .collect();
-    if blocks.is_empty() {
-        blocks.push(0..n as u32);
-    }
 
     let mut shadow = serving.sharded().graph().clone();
     let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -2899,13 +2304,13 @@ pub fn drive_load(
         let mut batches = 0usize;
         let mut result = Ok(());
         while started.elapsed() < opts.duration {
-            let ops = crate::datagen::updates::random_toggles_blocks(
+            let ops = crate::datagen::updates::random_toggles_in(
                 &mut shadow,
-                &blocks,
+                0..n as u32,
                 opts.write_batch,
                 &mut rng,
             );
-            if let Err(e) = serving.update_batch_with_threads(&ops, opts.writer_threads) {
+            if let Err(e) = serving.update_batch(&ops) {
                 result = Err(e);
                 break;
             }
@@ -2958,25 +2363,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_blocks_and_clamps() {
-        let p = ShardPartition::new(8, 2);
-        assert_eq!(p.shard_count(), 2);
-        assert_eq!(p.owner(0), 0);
-        assert_eq!(p.owner(3), 0);
-        assert_eq!(p.owner(4), 1);
-        assert_eq!(p.owner(7), 1);
-        assert_eq!(p.owner(100), 1, "appended ids fall to the last shard");
-        assert_eq!(p.pair_owner(6, 1), p.pair_owner(1, 6));
-        // More shards than nodes: high shards own nothing, low ids map 1:1.
-        let p = ShardPartition::new(3, 8);
-        assert_eq!(p.shard_count(), 8);
-        assert_eq!(p.owner(2), 2);
-        assert_eq!(p.owner(9), 7);
-        // Clamp: zero shards behaves as one.
-        assert_eq!(ShardPartition::new(5, 0).shard_count(), 1);
-    }
-
-    #[test]
     fn handles_are_send_and_readers_sync() {
         fn assert_send<T: Send>() {}
         fn assert_send_sync_clone<T: Send + Sync + Clone>() {}
@@ -2988,24 +2374,22 @@ mod tests {
 
     #[test]
     fn component_aligned_sharding_matches_batch_truth() {
-        // Two 4-node components, one per shard: the exactness contract's
-        // clean case. Updates stay within components.
+        // Two 4-node components; updates stay within them.
         let g = fixture();
-        let mut sharded = SimRankBuilder::new()
+        let mut handle = SimRankBuilder::new()
             .algorithm(EngineKind::IncSr)
             .config(cfg())
-            .shards(2)
             .build_sharded(g)
             .unwrap();
-        sharded.insert(0, 3).unwrap();
-        sharded.remove(6, 7).unwrap();
-        sharded
+        handle.insert(0, 3).unwrap();
+        handle.remove(6, 7).unwrap();
+        handle
             .update_batch(&[UpdateOp::Insert(4, 7), UpdateOp::Insert(1, 3)])
             .unwrap();
-        let truth = batch_simrank(sharded.graph(), sharded.config());
+        let truth = batch_simrank(handle.graph(), handle.config());
         for a in 0..8u32 {
             for b in 0..8u32 {
-                let got = sharded.pair(a, b);
+                let got = handle.pair(a, b);
                 let want = truth.get(a as usize, b as usize);
                 assert!(
                     (got - want).abs() < 1e-10,
@@ -3016,69 +2400,13 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_updates_reach_both_owners() {
-        let mut sharded = SimRankBuilder::new()
-            .config(cfg())
-            .shards(2)
-            .build_sharded(fixture())
-            .unwrap();
-        // Edge (1, 6): endpoints on different shards — two applications.
-        let stats = sharded.insert(1, 6).unwrap();
-        assert_eq!(stats.len(), 2);
-        // Same-shard edge — one application.
-        let stats = sharded.insert(0, 1).unwrap();
-        assert_eq!(stats.len(), 1);
-        assert!(sharded.graph().has_edge(1, 6));
-        // Both owning shards saw the cross edge; the router graph is
-        // authoritative either way.
-        assert!(sharded.shard(0).graph().has_edge(1, 6));
-        assert!(sharded.shard(1).graph().has_edge(1, 6));
-    }
-
-    #[test]
-    fn shards_share_the_precomputed_matrix_until_they_write() {
-        // 8 nodes over 4 shards: shard s owns nodes {2s, 2s + 1}.
-        let mut sharded = SimRankBuilder::new()
-            .config(cfg())
-            .mode(ApplyPolicy::Eager)
-            .shards(4)
-            .build_sharded(fixture())
-            .unwrap();
-        let base = |r: &ShardedSimRank, s: usize| {
-            r.shard(s)
-                .view()
-                .expect("dense shard")
-                .base()
-                .as_slice()
-                .as_ptr()
-        };
-        let built = base(&sharded, 0);
-        for s in 1..4 {
-            assert_eq!(base(&sharded, s), built, "shard {s} copied at build");
-        }
-        // (0, 3) routes to shards 0 and 1, (6, 7) to shard 3; shard 2
-        // sees no write.
-        sharded.insert(0, 3).unwrap();
-        sharded.remove(6, 7).unwrap();
-        let after: Vec<_> = (0..4).map(|s| base(&sharded, s)).collect();
-        assert_eq!(after[2], built, "an unwritten shard keeps the buffer");
-        for s in [0, 1, 3] {
-            assert_ne!(after[s], built, "shard {s} wrote into the shared buffer");
-            for t in [0, 1, 3] {
-                assert!(s == t || after[s] != after[t], "shards {s}, {t} alias");
-            }
-        }
-    }
-
-    #[test]
     fn invalid_batch_is_rejected_atomically() {
-        let mut sharded = SimRankBuilder::new()
+        let mut handle = SimRankBuilder::new()
             .config(cfg())
-            .shards(2)
             .build_sharded(fixture())
             .unwrap();
-        let before_edges = sharded.graph().edge_count();
-        let err = sharded
+        let before_edges = handle.graph().edge_count();
+        let err = handle
             .update_batch(&[
                 UpdateOp::Insert(0, 1),
                 UpdateOp::Insert(0, 2), // duplicate: already present
@@ -3086,51 +2414,15 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::Update(UpdateError::Graph(_))));
         // Nothing applied anywhere — not even the valid prefix.
-        assert_eq!(sharded.graph().edge_count(), before_edges);
-        assert!(!sharded.graph().has_edge(0, 1));
-        assert!(!sharded.shard(0).graph().has_edge(0, 1));
-    }
-
-    #[test]
-    fn batch_dispatch_is_thread_count_invariant() {
-        let ops = [
-            UpdateOp::Insert(0, 1),
-            UpdateOp::Insert(5, 7),
-            UpdateOp::Delete(2, 3),
-            UpdateOp::Insert(2, 6),
-        ];
-        let build = || {
-            SimRankBuilder::new()
-                .config(cfg())
-                .mode(ApplyPolicy::Fused)
-                .shards(3)
-                .build_sharded(fixture())
-                .unwrap()
-        };
-        let mut serial = build();
-        let mut grouped = build();
-        let mut parallel = build();
-        let s1 = serial.update_batch_with_threads(&ops, 1).unwrap();
-        // A cap below the busy-shard count exercises the grouped
-        // dispatch (workers process several shards each, serially).
-        let s2 = grouped.update_batch_with_threads(&ops, 2).unwrap();
-        let s4 = parallel.update_batch_with_threads(&ops, 4).unwrap();
-        assert_eq!(s1.len(), ops.len());
-        assert_eq!(s2.len(), ops.len());
-        assert_eq!(s4.len(), ops.len());
-        for a in 0..8u32 {
-            for b in 0..8u32 {
-                assert_eq!(serial.pair(a, b), parallel.pair(a, b));
-                assert_eq!(serial.pair(a, b), grouped.pair(a, b));
-            }
-        }
+        assert_eq!(handle.graph().edge_count(), before_edges);
+        assert!(!handle.graph().has_edge(0, 1));
+        assert!(!handle.engine().graph().has_edge(0, 1));
     }
 
     #[test]
     fn epoch_isolation_and_publish() {
         let mut serving = SimRankBuilder::new()
             .config(cfg())
-            .shards(2)
             .concurrent(fixture())
             .unwrap();
         let reader = serving.reader();
@@ -3148,7 +2440,7 @@ mod tests {
         assert_eq!(reader.seq(), 1);
         // The pinned epoch still answers from its own frozen state.
         assert_eq!(e0.pair(0, 1), before);
-        // The fresh epoch agrees with the writer's router.
+        // The fresh epoch agrees with the writer's handle.
         assert_eq!(reader.pair(0, 1), serving.sharded().pair(0, 1));
     }
 
@@ -3157,7 +2449,6 @@ mod tests {
         let mut serving = SimRankBuilder::new()
             .config(cfg())
             .mode(ApplyPolicy::Lazy)
-            .shards(2)
             .concurrent(fixture())
             .unwrap();
         serving.insert(0, 1).unwrap();
@@ -3180,17 +2471,16 @@ mod tests {
 
     #[test]
     fn absent_node_yields_none_not_panic() {
-        let sharded = SimRankBuilder::new()
+        let handle = SimRankBuilder::new()
             .config(cfg())
-            .shards(3)
             .build_sharded(fixture())
             .unwrap();
-        assert!(sharded.try_pair(0, 1).is_some());
-        assert!(sharded.try_pair(0, 99).is_none());
-        assert!(sharded.try_pair(99, 0).is_none());
-        assert!(sharded.try_single_source(99).is_none());
-        assert!(sharded.try_top_k(99, 3).is_none());
-        let serving = ConcurrentSimRank::new(sharded);
+        assert!(handle.try_pair(0, 1).is_some());
+        assert!(handle.try_pair(0, 99).is_none());
+        assert!(handle.try_pair(99, 0).is_none());
+        assert!(handle.try_single_source(99).is_none());
+        assert!(handle.try_top_k(99, 3).is_none());
+        let serving = ConcurrentSimRank::new(handle);
         let epoch = serving.reader().epoch();
         assert!(epoch.try_pair(99, 0).is_none());
         assert!(epoch.try_top_k(99, 3).is_none());
@@ -3198,24 +2488,22 @@ mod tests {
 
     #[test]
     fn counters_aggregate_across_shards() {
-        let mut sharded = SimRankBuilder::new()
+        // The handle reports the engine's routing counters plus its own
+        // durability accounting, here without a log.
+        let mut handle = SimRankBuilder::new()
             .config(cfg())
             .mode(ApplyPolicy::Fused)
-            .shards(2)
             .build_sharded(fixture())
             .unwrap();
-        sharded.insert(0, 1).unwrap(); // shard 0 only
-        sharded.insert(1, 6).unwrap(); // both shards
-        sharded.pair(0, 1); // shard 0
-        sharded.pair(5, 6); // shard 1
-        let per = sharded.shard_counters();
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].fused_updates, 2);
-        assert_eq!(per[1].fused_updates, 1);
-        let total = sharded.counters();
-        assert_eq!(total.fused_updates, 3);
-        assert_eq!(total.queries, per[0].queries + per[1].queries);
+        handle.insert(0, 1).unwrap();
+        handle.insert(1, 6).unwrap();
+        handle.pair(0, 1);
+        handle.pair(5, 6);
+        let total = handle.counters();
+        assert_eq!(total, handle.engine().counters());
+        assert_eq!(total.fused_updates, 2);
         assert_eq!(total.queries, 2);
+        assert_eq!(total.wal_appends + total.checkpoints + total.quarantines, 0);
     }
 
     #[test]
@@ -3225,22 +2513,21 @@ mod tests {
             .config(cfg)
             .mode(ApplyPolicy::Lazy)
             .compress_at_rank(cfg.iterations + 1)
-            .shards(2)
             .concurrent(fixture())
             .unwrap();
-        // Two updates per shard: the second hits each shard's threshold.
+        // The second update reaches the threshold, and the later ones
+        // recompress again.
         for (i, j) in [(0u32, 1u32), (1, 3), (5, 7), (4, 5)] {
             serving.insert(i, j).unwrap();
         }
-        let per = serving.sharded().shard_counters();
         let total = serving.sharded().counters();
         assert_eq!(
             total.recompressions,
-            per.iter().map(|c| c.recompressions).sum::<usize>()
+            serving.sharded().engine().counters().recompressions
         );
-        assert!(total.recompressions >= 2, "each shard recompressed once");
+        assert!(total.recompressions >= 2, "the window recompressed");
         assert_eq!(total.rank_cap_flushes, 0);
-        assert!(serving.sharded().pending_rank() > 0, "windows stay open");
+        assert!(serving.sharded().pending_rank() > 0, "window stays open");
         // Epochs publish the compressed factors; answers match truth.
         serving.publish();
         let reader = serving.reader();
@@ -3262,17 +2549,17 @@ mod tests {
 
     #[test]
     fn add_node_grows_every_shard() {
-        let mut sharded = SimRankBuilder::new()
+        let mut handle = SimRankBuilder::new()
             .config(cfg())
-            .shards(2)
             .build_sharded(fixture())
             .unwrap();
-        let id = sharded.add_node().unwrap();
+        let id = handle.add_node().unwrap();
         assert_eq!(id, 8);
-        assert_eq!(sharded.graph().node_count(), 9);
-        assert!(sharded.try_pair(8, 0).is_some());
-        sharded.insert(8, 2).unwrap();
-        assert!(sharded.pair(8, 8) > 0.0);
+        assert_eq!(handle.graph().node_count(), 9);
+        assert_eq!(handle.engine().graph().node_count(), 9);
+        assert!(handle.try_pair(8, 0).is_some());
+        handle.insert(8, 2).unwrap();
+        assert!(handle.pair(8, 8) > 0.0);
     }
 
     #[test]
@@ -3304,19 +2591,16 @@ mod tests {
             prune: 0.0,
             seed: 7,
         };
-        let sharded = SimRankBuilder::new()
+        let handle = SimRankBuilder::new()
             .algorithm(EngineKind::Probe)
             .config(cfg)
             .probe_options(opts)
-            .shards(2)
             .build_sharded(g)
             .unwrap();
-        for s in 0..sharded.shard_count() {
-            assert!(sharded.shard(s).is_matrix_free());
-        }
-        assert_eq!(sharded.pending_rank(), 0);
+        assert!(handle.engine().is_matrix_free());
+        assert_eq!(handle.pending_rank(), 0);
 
-        let mut concurrent = ConcurrentSimRank::new(sharded);
+        let mut concurrent = ConcurrentSimRank::new(handle);
         let reader = concurrent.reader();
         let frozen = reader.epoch();
         assert_eq!(frozen.n(), 7);
@@ -3332,10 +2616,9 @@ mod tests {
         let ranked = frozen.top_k(0, 3);
         assert!(!ranked.is_empty() && ranked[0].node == 1);
 
-        // Cross-shard edge (shards own 0..4 and 4..7): both owners apply
-        // it as a plain graph edit.
+        // The engine applies each op as a plain graph edit.
         let stats = concurrent.insert(0, 6).unwrap();
-        assert_eq!(stats.len(), 2);
+        assert_eq!(stats.len(), 1);
         concurrent.remove(2, 1).unwrap();
         let seq = concurrent.publish();
         assert_eq!(seq, 1);
@@ -3355,10 +2638,10 @@ mod tests {
 
         // Counters: walk buckets only, never zero-stuffed apply modes.
         // (Epoch queries sample against their own frozen cores; hit the
-        // live read path once so the shard's sampling tally moves.)
+        // live read path once so the engine's sampling tally moves.)
         let _ = concurrent.sharded().pair(0, 1);
         let c = concurrent.sharded().counters();
-        assert_eq!(c.walk_updates, 3, "insert hit 2 shards, remove hit 1");
+        assert_eq!(c.walk_updates, 2, "one insert, one remove");
         assert_eq!(c.eager_updates + c.fused_updates + c.lazy_updates, 0);
         assert!(c.walks_sampled > 0);
     }
@@ -3375,88 +2658,78 @@ mod tests {
     #[test]
     fn panicking_shard_is_quarantined_and_batch_commits_elsewhere() {
         use crate::wal::faults::ApplyFaults;
-        // Fixture components are shard-aligned (0-3 / 4-7 over block 4);
-        // the fault detonates inside shard 1's apply of edge (4, 5).
+        // The fault detonates inside the engine's apply of edge (4, 5).
         let faults = ApplyFaults::panic_on_edge(4, 5);
-        let mut sharded = SimRankBuilder::new()
+        let mut handle = SimRankBuilder::new()
             .config(cfg())
             .mode(ApplyPolicy::Eager)
-            .shards(2)
             .fault_injection(Arc::clone(&faults))
             .build_sharded(fixture())
             .unwrap();
         let ops = [UpdateOp::Insert(0, 1), UpdateOp::Insert(4, 5)];
-        let err = sharded.update_batch_with_threads(&ops, 2).unwrap_err();
-        assert!(matches!(err, ServeError::ShardPanicked { shard: 1, .. }));
+        let err = handle.update_batch(&ops).unwrap_err();
+        assert!(matches!(err, ServeError::Panicked { since_seq: 2 }));
         assert!(faults.exhausted(), "the scheduled panic fired");
 
-        // The healthy shard and the router graph committed the batch.
-        assert!(sharded.graph().has_edge(0, 1) && sharded.graph().has_edge(4, 5));
-        assert!(sharded.shard(0).graph().has_edge(0, 1));
-        assert_eq!(sharded.quarantined_shards(), vec![1]);
-        assert_eq!(sharded.counters().quarantines, 1);
+        // The authoritative graph committed the batch.
+        assert!(handle.graph().has_edge(0, 1) && handle.graph().has_edge(4, 5));
+        assert_eq!(handle.health(), Health::Quarantined { since_seq: 2 });
+        assert_eq!(handle.counters().quarantines, 1);
 
-        // Shard 0 keeps taking writes; shard 1 rejects with the typed,
-        // retryable error, and checked reads degrade instead of serving
-        // its torn engine state.
-        sharded.insert(1, 3).unwrap();
-        let err = sharded.insert(6, 5).unwrap_err();
-        assert!(matches!(err, ServeError::Quarantined { shard: 1, .. }));
+        // Writes reject with the typed, retryable error, and checked
+        // reads degrade instead of serving the torn engine state.
+        let err = handle.insert(6, 5).unwrap_err();
+        assert!(matches!(err, ServeError::Quarantined { since_seq: 2, .. }));
         assert!(matches!(
-            sharded.checked_pair(4, 5),
-            Err(ServeError::Degraded { shard: 1, .. })
+            handle.checked_pair(4, 5),
+            Err(ServeError::Degraded { since_seq: 2 })
         ));
-        sharded.checked_pair(0, 1).unwrap();
         assert!(matches!(
-            sharded.add_node(),
+            handle.add_node(),
             Err(ServeError::Quarantined { .. })
         ));
 
         // Rebuild (no WAL here: recompute from the authoritative graph)
-        // restores the shard and lifts the quarantine.
-        sharded.rebuild_shard(1).unwrap();
-        assert_eq!(sharded.shard_health(1), ShardHealth::Healthy);
-        sharded.insert(6, 5).unwrap();
-        let truth = batch_simrank(sharded.graph(), &cfg());
-        let diff = (sharded.pair(4, 5) - truth.get(4, 5)).abs();
-        assert!(diff < 1e-12, "rebuilt shard diverges: {diff}");
+        // restores the engine and lifts the quarantine.
+        handle.rebuild().unwrap();
+        assert_eq!(handle.health(), Health::Healthy);
+        handle.insert(6, 5).unwrap();
+        let truth = batch_simrank(handle.graph(), &cfg());
+        let diff = (handle.pair(4, 5) - truth.get(4, 5)).abs();
+        assert!(diff < 1e-12, "rebuilt engine diverges: {diff}");
     }
 
     #[test]
     fn readers_survive_a_shard_crash_on_stale_epochs() {
         use crate::wal::faults::ApplyFaults;
         let faults = ApplyFaults::panic_on_edge(4, 5);
-        let sharded = SimRankBuilder::new()
+        let handle = SimRankBuilder::new()
             .config(cfg())
-            .shards(2)
             .fault_injection(faults)
             .build_sharded(fixture())
             .unwrap();
-        let mut serving = ConcurrentSimRank::new(sharded);
+        let mut serving = ConcurrentSimRank::new(handle);
         let reader = serving.reader();
         let before = reader.pair(4, 6);
 
         let err = serving.update_batch(&[UpdateOp::Insert(4, 5)]).unwrap_err();
-        assert!(matches!(err, ServeError::ShardPanicked { shard: 1, .. }));
+        assert!(matches!(err, ServeError::Panicked { .. }));
 
-        // Publishing with a quarantined shard carries its last published
-        // view over — readers never go down, answers are marked.
+        // Publishing while quarantined carries the last published view
+        // over — readers never go down, answers are marked.
         serving.publish();
         let epoch = reader.epoch();
-        assert!(epoch.any_degraded());
-        assert!(epoch.degraded(1).is_some() && epoch.degraded(0).is_none());
+        assert!(epoch.degraded().is_some());
         let (v, status) = epoch.pair_with_status(4, 6);
         assert_eq!(v, before, "stale answer is the pre-crash epoch's");
-        assert!(matches!(status, ReadStatus::Degraded { shard: 1, .. }));
-        let (_, fresh) = epoch.pair_with_status(0, 1);
-        assert!(matches!(fresh, ReadStatus::Fresh));
+        assert!(matches!(status, ReadStatus::Degraded { since_seq: 1 }));
         assert!(serving.sharded().counters().degraded_reads >= 1);
 
         // Rebuild + publish: readers leave the degraded view, and the
-        // interrupted batch is there (it committed on the router).
-        serving.rebuild_shard(1).unwrap();
+        // interrupted batch is there (it committed on the handle).
+        serving.rebuild().unwrap();
         let epoch = reader.epoch();
-        assert!(!epoch.any_degraded());
+        assert!(epoch.degraded().is_none());
         let (v_new, status) = epoch.pair_with_status(4, 6);
         assert!(matches!(status, ReadStatus::Fresh));
         let truth = batch_simrank(serving.sharded().graph(), &cfg());
@@ -3471,7 +2744,6 @@ mod tests {
         let durable = SimRankBuilder::new()
             .config(cfg())
             .mode(ApplyPolicy::Fused)
-            .shards(2)
             .checkpoint_every(4)
             .wal(&path);
 
@@ -3479,30 +2751,28 @@ mod tests {
         live.update_batch(&[UpdateOp::Insert(0, 1), UpdateOp::Insert(4, 5)])
             .unwrap();
         live.insert(1, 3).unwrap();
-        live.add_node().unwrap(); // seq 4: cadence fires, per-shard images
+        live.add_node().unwrap(); // seq 4: cadence fires
         live.insert(8, 6).unwrap();
         let c = live.counters();
         assert_eq!(c.wal_appends, 5);
-        assert_eq!(c.checkpoints, 3, "global base + one image per shard");
+        assert_eq!(c.checkpoints, 2, "base image + one cadence image");
         assert_eq!(live.last_seq(), 5);
         assert_eq!(live.wal_path(), Some(path.as_path()));
         drop(live);
 
         // Re-opening the log overrides the supplied graph: the recovered
-        // router resumes exactly where the dropped one stopped.
+        // handle resumes exactly where the dropped one stopped.
         let recovered = durable.clone().build_sharded(fixture()).unwrap();
         assert_eq!(recovered.graph().node_count(), 9);
         assert!(recovered.graph().has_edge(8, 6));
         assert_eq!(recovered.last_seq(), 5);
-        // Only the post-checkpoint suffix replays, filtered by shard:
-        // seq 5 = insert(8, 6), owned by shard 1 alone.
+        // Only the suffix after the newest checkpoint replays: seq 5.
         assert_eq!(recovered.counters().replayed_ops, 1);
 
         // Bit-identical to an uncrashed trajectory under a fixed policy.
         let mut truth = SimRankBuilder::new()
             .config(cfg())
             .mode(ApplyPolicy::Fused)
-            .shards(2)
             .build_sharded(fixture())
             .unwrap();
         truth
@@ -3529,7 +2799,6 @@ mod tests {
         let durable = SimRankBuilder::new()
             .config(cfg())
             .mode(ApplyPolicy::Eager)
-            .shards(2)
             .retain_epochs(4)
             .checkpoint_every(4)
             .wal(&path);
@@ -3594,7 +2863,6 @@ mod tests {
         let durable = SimRankBuilder::new()
             .config(cfg())
             .algorithm(EngineKind::Probe)
-            .shards(2)
             .retain_epochs(3)
             .checkpoint_every(3)
             .wal(&path);
@@ -3613,8 +2881,8 @@ mod tests {
             recovered.history_status(),
             HistoryStatus::Recovered { epochs: 2 }
         );
-        // Probe shards rehydrate by graph replay under the pinned seed:
-        // recovered answers are bit-identical, not just close.
+        // The probe engine rehydrates by graph replay under the pinned
+        // seed: recovered answers are bit-identical, not just close.
         assert_eq!(recovered.pair_at(0, 1, 0).unwrap(), pre_e0);
         assert_eq!(recovered.pair_at(4, 6, e1).unwrap(), pre_e1);
         let _ = std::fs::remove_file(&path);
@@ -3624,7 +2892,7 @@ mod tests {
     fn reopening_a_nonempty_log_skips_the_precompute() {
         let path = tmp_wal("reopen_precompute");
         let _ = std::fs::remove_file(&path);
-        let durable = SimRankBuilder::new().config(cfg()).shards(2).wal(&path);
+        let durable = SimRankBuilder::new().config(cfg()).wal(&path);
         let precomputes = std::cell::Cell::new(0);
         let build = || {
             ShardedSimRank::build_internal(durable.clone(), fixture(), |g| {
@@ -3658,7 +2926,6 @@ mod tests {
         // checkpoints only, exactly the shape of a pre-ring (v1) log.
         let plain = SimRankBuilder::new()
             .config(cfg())
-            .shards(2)
             .checkpoint_every(4)
             .wal(&path);
         let mut live = plain.clone().build_sharded(fixture()).unwrap();

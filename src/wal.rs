@@ -24,19 +24,26 @@
 //! |-----|--------|----------------------|
 //! | 1 | edge op | `kind u8` (0 insert, 1 delete), `u u32`, `v u32`, `seq u64` |
 //! | 2 | add node | `seq u64` |
-//! | 3 | checkpoint (v1) | `shard u32` (`u32::MAX` = global base), `shard_count u32`, `block u64`, `seq u64`, `image_kind u8`, `image_len u64`, image bytes |
+//! | 3 | checkpoint (v1) | `shard u32`, `shard_count u32`, `block u64`, `seq u64`, `image_kind u8`, `image_len u64`, image bytes |
 //! | 4 | checkpoint (v2) | `version u8` (= 1), then the v1 layout |
-//! | 5 | epoch-ring meta | `version u8` (= 1), `cp_seq u64`, head descriptor, `retain`/`entries` varints, per-shard anchors, pending ops, per-shard tail graphs |
-//! | 6 | epoch delta | `version u8` (= 1), `cp_seq u64`, `seq u64`, `stamp u64`, `at_op u64`, `n` varint, shard count varint + per-shard delta images (`0` + factors, `1` replay, `2` broken), op slice (count varint + per op `0`/`1` + `u`/`v` varints for insert/delete, `2` for add node) |
+//! | 5 | epoch-ring meta | `version u8` (= 1), `cp_seq u64`, head descriptor, `retain`/`entries` varints, anchor count varint (= 1) + anchor image, pending ops, tail count varint (= 1) + tail graph |
+//! | 6 | epoch delta | `version u8` (= 1), `cp_seq u64`, `seq u64`, `stamp u64`, `at_op u64`, `n` varint, image count varint (= 1) + delta image (`0` + factors, `1` replay, `2` broken), op slice (count varint + per op `0`/`1` + `u`/`v` varints for insert/delete, `2` for add node) |
 //!
 //! All integers are little-endian; variable-length fields use the shared
-//! [`incsim_codec`] varint. Checkpoint images come in two kinds: `0` =
+//! [`incsim_codec`] varint. Every checkpoint belongs to the serving
+//! handle's one engine: the writer stores `u32::MAX` in `shard`, 1 in
+//! `shard_count` and 0 in `block`. Those fields are reserved — they date
+//! from a multi-engine router, and recovery refuses a checkpoint whose
+//! `shard_count` exceeds 1 with [`WalError::ShardedLog`]. The image
+//! counts in the epoch frames are likewise always 1; an epoch frame with
+//! any other count decodes as [`WalRecord::EpochUnusable`]. Checkpoint
+//! images come in two kinds: `0` =
 //! *graph-only* (config + edge list — enough for engines whose whole
 //! state is the graph, e.g. the matrix-free probe engine, or for
 //! rebuild-by-recompute), `1` = a full `INCSIM01` dense snapshot as
 //! written by [`crate::core::snapshot::save_engine`].
 //!
-//! Tags 4–6 form a **v2 checkpoint round**: the head image(s) followed by
+//! Tags 4–6 form a **v2 checkpoint round**: the head image followed by
 //! one epoch-delta frame per retained epoch and a meta trailer, appended
 //! contiguously by [`Wal::append_epoch_ring`] and `fsync`ed as one round.
 //! A round is usable only when the trailer's `entries` count matches the
@@ -44,9 +51,9 @@
 //! a crash mid-round leaves the *previous* round authoritative. Epoch
 //! frames whose CRC holds but whose record version is unknown decode to
 //! [`WalRecord::EpochUnusable`]: the op stream survives and recovery
-//! degrades to head-only instead of tearing the log. Shard delta images
-//! are [`LowRankDelta`] factor pairs for matrix engines and recorded op
-//! slices (`Replay`) for matrix-free shards, which replay seed-identical.
+//! degrades to head-only instead of tearing the log. Delta images are
+//! [`LowRankDelta`] factor pairs for matrix engines and recorded op
+//! slices (`Replay`) for matrix-free engines, which replay seed-identical.
 //!
 //! Sequence numbers are assigned by the writer, strictly monotonic across
 //! op and add-node records; a checkpoint's `seq` names the last op it
@@ -82,21 +89,21 @@
 //! ## Recovery
 //!
 //! [`read_log`] streams the file into a [`RecoveredLog`] holding the op
-//! stream, the newest checkpoint per shard key (the global base and each
-//! shard), the newest epoch-ring round with the checkpoints it anchors
-//! to, and nothing older. [`rebuild_engine`] finds the newest usable
-//! checkpoint (per shard, or the global base written when the log was
-//! attached), reconstructs the engine from its image, and replays the op
-//! suffix. For the exact engines the result is bit-identical to the
+//! stream, the newest checkpoint, the newest epoch-ring round with the
+//! checkpoint it anchors to, and nothing older. [`rebuild_engine`] takes
+//! the newest checkpoint (the base image written when the log was
+//! attached, until a cadence checkpoint supersedes it), reconstructs the
+//! engine from its image, and replays the op suffix. The serving
+//! handle's graph is the rebuilt engine's. For the exact engines the
+//! result is bit-identical to the
 //! pre-crash engine's materialised scores under the fixed apply policies
 //! (and within the recompression bar under `Auto`, whose per-op routing
 //! depends on query traffic that is not logged); for the probe engine the
 //! rebuilt state is seed-identical — the same builder seed replays to the
 //! same sampler.
 //!
-//! Per-shard rebuild replays only the ops the shard owns, using the
-//! partition geometry (`shard_count`, `block`) stored in the checkpoint
-//! record — see [`crate::serve::ShardedSimRank::rebuild_shard`].
+//! A quarantined handle rebuilds the same way — see
+//! [`crate::serve::ShardedSimRank::rebuild`].
 //!
 //! A log carrying a usable v2 round additionally rehydrates the epoch
 //! ring: `ConcurrentSimRank::new` splices the persisted retained epochs
@@ -121,7 +128,6 @@ use crate::core::SimRankConfig;
 use crate::graph::{DiGraph, UpdateOp};
 use incsim_codec::{self as codec, put_u32, put_u64, put_u8, put_uvarint};
 use incsim_linalg::LowRankDelta;
-use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -148,7 +154,8 @@ const RECORD_VERSION: u8 = 1;
 const IMAGE_GRAPH_ONLY: u8 = 0;
 const IMAGE_DENSE: u8 = 1;
 
-/// Shard tag of a global (base) checkpoint.
+/// The value the writer stores in a checkpoint's reserved `shard` field
+/// (it tagged the base image of a multi-engine router's log).
 const SHARD_GLOBAL: u32 = u32::MAX;
 
 /// IEEE CRC-32 of `bytes` (the `cksum`/zlib polynomial, reflected) —
@@ -173,9 +180,16 @@ pub enum WalError {
         /// What was wrong there.
         detail: &'static str,
     },
-    /// The log holds no usable checkpoint for the requested shard, so
-    /// there is no state to replay onto.
+    /// The log holds no usable checkpoint, so there is no state to
+    /// replay onto.
     NoCheckpoint,
+    /// The newest checkpoint was written by a router over several engine
+    /// shards; this build serves one engine per handle and cannot recover
+    /// such a log. Recovery leaves the file untouched.
+    ShardedLog {
+        /// The shard count the checkpoint records.
+        shard_count: u32,
+    },
     /// A checkpoint image failed to decode.
     Snapshot(SnapshotError),
     /// The engine could not be reconstructed from a checkpoint image.
@@ -191,6 +205,11 @@ impl std::fmt::Display for WalError {
                 write!(f, "corrupt wal frame at byte {offset}: {detail}")
             }
             WalError::NoCheckpoint => write!(f, "wal holds no usable checkpoint"),
+            WalError::ShardedLog { shard_count } => write!(
+                f,
+                "wal was written by a {shard_count}-shard router; \
+                 this build recovers single-engine logs only"
+            ),
             WalError::Snapshot(e) => write!(f, "wal checkpoint image rejected: {e}"),
             WalError::Build(e) => write!(f, "engine rebuild from wal failed: {e}"),
         }
@@ -235,22 +254,30 @@ pub enum CheckpointImage {
     Dense(Vec<u8>),
 }
 
-/// A decoded checkpoint record.
+/// A decoded checkpoint record: the serving handle's engine image.
 #[derive(Debug, Clone)]
 pub struct CheckpointRecord {
-    /// Which shard's engine this image captures; `None` is the *global
-    /// base* written when the log was attached (every shard's state
-    /// coincided then, so any shard may rebuild from it).
-    pub shard: Option<u32>,
-    /// Shard count of the partition at checkpoint time.
+    /// The shard count stored with the image: 1 from this build (see
+    /// [`CheckpointRecord::new`]). A larger count marks a log written by
+    /// a multi-engine router, which recovery refuses with
+    /// [`WalError::ShardedLog`].
     pub shard_count: u32,
-    /// Block size of the partition (`owner(x) = min(x / block, shards-1)`).
-    pub block: u64,
     /// The last op sequence number this image covers; replay resumes at
     /// `seq + 1`.
     pub seq: u64,
     /// The engine image.
     pub image: CheckpointImage,
+}
+
+impl CheckpointRecord {
+    /// The handle's checkpoint covering the ops up to `seq`.
+    pub fn new(seq: u64, image: CheckpointImage) -> Self {
+        CheckpointRecord {
+            shard_count: 1,
+            seq,
+            image,
+        }
+    }
 }
 
 /// One replayable entry yielded by [`RecoveredLog::ops_after`]. The type
@@ -274,18 +301,18 @@ pub enum ReplayOp {
     AddNode,
 }
 
-/// How one shard's retained-epoch delta is persisted inside an epoch
-/// frame. The WAL stays independent of the serving layer's in-memory
-/// types: this is the wire-level vocabulary both sides translate to.
+/// How a retained-epoch delta is persisted inside an epoch frame. The
+/// WAL stays independent of the serving layer's in-memory types: this is
+/// the wire-level vocabulary both sides translate to.
 #[derive(Debug, Clone)]
-pub enum ShardDeltaImage {
-    /// Low-rank ΔS factors for a matrix-backed shard (`S_next − S_this`).
+pub enum DeltaImage {
+    /// Low-rank ΔS factors for a matrix engine (`S_next − S_this`).
     Dense(LowRankDelta),
-    /// Matrix-free shard: reconstruct by replaying the recorded op
+    /// Matrix-free engine: reconstruct by replaying the recorded op
     /// slices from the tail graph (seed-identical by construction).
     Replay,
-    /// The delta could not be persisted (the shard was quarantined or
-    /// its epoch view was pinned). Reconstruction *through* this entry
+    /// The delta could not be persisted (the engine was quarantined or
+    /// the epoch view was pinned). Reconstruction *through* this entry
     /// reports a broken chain; entries on the head side of it still work.
     Broken,
 }
@@ -303,10 +330,10 @@ pub struct EpochDeltaRecord {
     pub at_op: u64,
     /// Node universe size at this epoch.
     pub n: usize,
-    /// Per-shard delta to the *next* epoch, in shard order.
-    pub shards: Vec<ShardDeltaImage>,
+    /// The delta to the *next* epoch.
+    pub delta: DeltaImage,
     /// The ops applied between this epoch and the next (the replay
-    /// slice matrix-free shards roll forward through).
+    /// slice a matrix-free engine rolls forward through).
     pub ops: Vec<ReplayOp>,
 }
 
@@ -329,16 +356,16 @@ pub struct EpochMetaRecord {
     /// Number of [`EpochDeltaRecord`] frames written for this round;
     /// recovery refuses a ring whose frame count disagrees.
     pub entries: usize,
-    /// Per-shard delta from the head epoch's scores to the live scores
-    /// at `cp_seq` (the checkpoint image). Recovery composes this with
-    /// the post-checkpoint replay suffix to turn the old head into a
-    /// ring entry.
-    pub anchors: Vec<ShardDeltaImage>,
+    /// The delta from the head epoch's scores to the live scores at
+    /// `cp_seq` (the checkpoint image). Recovery composes this with the
+    /// post-checkpoint replay suffix to turn the old head into a ring
+    /// entry.
+    pub anchor: DeltaImage,
     /// Ops committed after the head epoch was published, up to `cp_seq`.
     pub pending: Vec<ReplayOp>,
-    /// Per-shard tail graphs (the graph at the *oldest* retained epoch)
-    /// for matrix-free shards; `None` for matrix-backed shards.
-    pub tails: Vec<Option<DiGraph>>,
+    /// The tail graph (the graph at the *oldest* retained epoch) of a
+    /// matrix-free engine; `None` for a matrix engine.
+    pub tail: Option<DiGraph>,
 }
 
 /// One decoded WAL record.
@@ -351,7 +378,7 @@ pub enum WalRecord {
         /// The update.
         op: UpdateOp,
     },
-    /// A node append (grows the node universe on every shard).
+    /// A node append (grows the node universe).
     AddNode {
         /// Its sequence number.
         seq: u64,
@@ -410,9 +437,9 @@ fn encode_checkpoint_into(p: &mut Vec<u8>, cp: &CheckpointRecord) {
     // version byte) stay decodable forever.
     p.push(TAG_CHECKPOINT2);
     p.push(RECORD_VERSION);
-    put_u32(p, cp.shard.unwrap_or(SHARD_GLOBAL));
+    put_u32(p, SHARD_GLOBAL);
     put_u32(p, cp.shard_count);
-    put_u64(p, cp.block);
+    put_u64(p, 0);
     put_u64(p, cp.seq);
     p.push(image_kind);
     put_u64(p, image_len as u64);
@@ -450,14 +477,16 @@ fn encode_replay_ops(p: &mut Vec<u8>, ops: &[ReplayOp]) {
     }
 }
 
-fn encode_shard_delta(p: &mut Vec<u8>, img: &ShardDeltaImage) {
+/// Writes one delta image behind its image count (always 1).
+fn encode_delta(p: &mut Vec<u8>, img: &DeltaImage) {
+    put_uvarint(p, 1);
     match img {
-        ShardDeltaImage::Dense(delta) => {
+        DeltaImage::Dense(delta) => {
             put_u8(p, 0);
             delta.encode_into(p);
         }
-        ShardDeltaImage::Replay => put_u8(p, 1),
-        ShardDeltaImage::Broken => put_u8(p, 2),
+        DeltaImage::Replay => put_u8(p, 1),
+        DeltaImage::Broken => put_u8(p, 2),
     }
 }
 
@@ -478,10 +507,7 @@ fn encode_epoch_delta_into(p: &mut Vec<u8>, rec: &EpochDeltaRecord) {
     put_u64(p, rec.stamp);
     put_u64(p, rec.at_op);
     put_uvarint(p, rec.n as u64);
-    put_uvarint(p, rec.shards.len() as u64);
-    for img in &rec.shards {
-        encode_shard_delta(p, img);
-    }
+    encode_delta(p, &rec.delta);
     encode_replay_ops(p, &rec.ops);
 }
 
@@ -495,20 +521,15 @@ fn encode_epoch_meta_into(p: &mut Vec<u8>, rec: &EpochMetaRecord) {
     put_uvarint(p, rec.head_n as u64);
     put_uvarint(p, rec.retain as u64);
     put_uvarint(p, rec.entries as u64);
-    put_uvarint(p, rec.anchors.len() as u64);
-    for img in &rec.anchors {
-        encode_shard_delta(p, img);
-    }
+    encode_delta(p, &rec.anchor);
     encode_replay_ops(p, &rec.pending);
-    put_uvarint(p, rec.tails.len() as u64);
-    for tail in &rec.tails {
-        match tail {
-            Some(g) => {
-                put_u8(p, 1);
-                encode_graph(p, g);
-            }
-            None => put_u8(p, 0),
+    put_uvarint(p, 1);
+    match &rec.tail {
+        Some(g) => {
+            put_u8(p, 1);
+            encode_graph(p, g);
         }
+        None => put_u8(p, 0),
     }
 }
 
@@ -519,9 +540,12 @@ use codec::Cursor;
 /// Decodes the checkpoint body shared by the v1 (tag 3) and v2 (tag 4)
 /// frames — everything after the tag (and, for v2, the version byte).
 fn decode_checkpoint_body(c: &mut Cursor<'_>) -> Option<CheckpointRecord> {
-    let shard = c.u32()?;
+    // The reserved `shard` and `block` fields. `shard_count` is kept: a
+    // multi-engine log must fail recovery, not decoding — a frame that
+    // fails to decode reads as a torn tail and gets truncated.
+    let _shard = c.u32()?;
     let shard_count = c.u32()?;
-    let block = c.u64()?;
+    let _block = c.u64()?;
     let seq = c.u64()?;
     let image_kind = c.u8()?;
     let image_len = usize::try_from(c.u64()?).ok()?;
@@ -552,13 +576,7 @@ fn decode_checkpoint_body(c: &mut Cursor<'_>) -> Option<CheckpointRecord> {
         _ => return None,
     };
     Some(CheckpointRecord {
-        shard: if shard == SHARD_GLOBAL {
-            None
-        } else {
-            Some(shard)
-        },
         shard_count,
-        block,
         seq,
         image,
     })
@@ -591,25 +609,18 @@ fn decode_replay_ops(c: &mut Cursor<'_>) -> Option<Vec<ReplayOp>> {
     Some(ops)
 }
 
-fn decode_shard_delta(c: &mut Cursor<'_>) -> Option<ShardDeltaImage> {
-    match c.u8()? {
-        0 => Some(ShardDeltaImage::Dense(LowRankDelta::decode_from(c)?)),
-        1 => Some(ShardDeltaImage::Replay),
-        2 => Some(ShardDeltaImage::Broken),
-        _ => None,
-    }
-}
-
-fn decode_shard_deltas(c: &mut Cursor<'_>) -> Option<Vec<ShardDeltaImage>> {
-    let count = usize::try_from(c.uvarint()?).ok()?;
-    if count > c.remaining() {
+/// Reads one delta image behind its image count; any count but 1 (a
+/// frame from a multi-engine router) is undecodable.
+fn decode_delta(c: &mut Cursor<'_>) -> Option<DeltaImage> {
+    if c.uvarint()? != 1 {
         return None;
     }
-    let mut shards = Vec::with_capacity(count);
-    for _ in 0..count {
-        shards.push(decode_shard_delta(c)?);
+    match c.u8()? {
+        0 => Some(DeltaImage::Dense(LowRankDelta::decode_from(c)?)),
+        1 => Some(DeltaImage::Replay),
+        2 => Some(DeltaImage::Broken),
+        _ => None,
     }
-    Some(shards)
 }
 
 fn decode_graph(c: &mut Cursor<'_>) -> Option<DiGraph> {
@@ -633,7 +644,7 @@ fn decode_epoch_delta_body(c: &mut Cursor<'_>) -> Option<EpochDeltaRecord> {
     let stamp = c.u64()?;
     let at_op = c.u64()?;
     let n = usize::try_from(c.uvarint()?).ok()?;
-    let shards = decode_shard_deltas(c)?;
+    let delta = decode_delta(c)?;
     let ops = decode_replay_ops(c)?;
     Some(EpochDeltaRecord {
         cp_seq,
@@ -641,7 +652,7 @@ fn decode_epoch_delta_body(c: &mut Cursor<'_>) -> Option<EpochDeltaRecord> {
         stamp,
         at_op,
         n,
-        shards,
+        delta,
         ops,
     })
 }
@@ -654,20 +665,16 @@ fn decode_epoch_meta_body(c: &mut Cursor<'_>) -> Option<EpochMetaRecord> {
     let head_n = usize::try_from(c.uvarint()?).ok()?;
     let retain = usize::try_from(c.uvarint()?).ok()?;
     let entries = usize::try_from(c.uvarint()?).ok()?;
-    let anchors = decode_shard_deltas(c)?;
+    let anchor = decode_delta(c)?;
     let pending = decode_replay_ops(c)?;
-    let tail_count = usize::try_from(c.uvarint()?).ok()?;
-    if tail_count > c.remaining() {
+    if c.uvarint()? != 1 {
         return None;
     }
-    let mut tails = Vec::with_capacity(tail_count);
-    for _ in 0..tail_count {
-        tails.push(match c.u8()? {
-            0 => None,
-            1 => Some(decode_graph(c)?),
-            _ => return None,
-        });
-    }
+    let tail = match c.u8()? {
+        0 => None,
+        1 => Some(decode_graph(c)?),
+        _ => return None,
+    };
     Some(EpochMetaRecord {
         cp_seq,
         head_seq,
@@ -676,9 +683,9 @@ fn decode_epoch_meta_body(c: &mut Cursor<'_>) -> Option<EpochMetaRecord> {
         head_n,
         retain,
         entries,
-        anchors,
+        anchor,
         pending,
-        tails,
+        tail,
     })
 }
 
@@ -740,10 +747,9 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
 pub struct RecoveredLog {
     /// The records recovery reads, in append order. Every frame of the
     /// valid prefix is checksummed and decoded, but only what no newer
-    /// frame supersedes is kept: every op and add-node record; per
-    /// checkpoint key (the global base and each shard) the newest
-    /// checkpoint and the newest one at the newest epoch-ring meta's
-    /// `cp_seq`; that meta; the epoch-delta frames whose `cp_seq` is at
+    /// frame supersedes is kept: every op and add-node record; the
+    /// newest checkpoint and the newest one at the newest epoch-ring
+    /// meta's `cp_seq`; that meta; the epoch-delta frames whose `cp_seq` is at
     /// least its own; and at most one [`WalRecord::EpochUnusable`]
     /// marker. So recovery holds one round's images and ring plus the op
     /// stream however many rounds the log has accumulated, and every
@@ -783,27 +789,23 @@ impl RecoveredLog {
             .count()
     }
 
-    /// The checkpoints usable for `shard`, newest first.
-    fn checkpoints_for(&self, shard: Option<u32>) -> impl Iterator<Item = &CheckpointRecord> {
-        self.records.iter().rev().filter_map(move |r| match r {
-            WalRecord::Checkpoint(cp) if cp.shard.is_none() || cp.shard == shard => Some(cp),
+    /// The checkpoints, newest first.
+    fn checkpoints(&self) -> impl Iterator<Item = &CheckpointRecord> {
+        self.records.iter().rev().filter_map(|r| match r {
+            WalRecord::Checkpoint(cp) => Some(cp),
             _ => None,
         })
     }
 
-    /// The newest checkpoint usable for `shard`: a checkpoint tagged with
-    /// that shard, or the global base. `shard` of `None` accepts only the
-    /// global base (whole-system rebuild must not start from one shard's
-    /// diverged image).
-    pub fn newest_checkpoint(&self, shard: Option<u32>) -> Option<&CheckpointRecord> {
-        self.checkpoints_for(shard).next()
+    /// The newest checkpoint: the one recovery starts from.
+    pub fn newest_checkpoint(&self) -> Option<&CheckpointRecord> {
+        self.checkpoints().next()
     }
 
-    /// The newest checkpoint usable for `shard` that covers exactly the
-    /// ops up to `seq`: the image a ring round at `cp_seq = seq` anchors
-    /// to.
-    pub(crate) fn checkpoint_at(&self, shard: Option<u32>, seq: u64) -> Option<&CheckpointRecord> {
-        self.checkpoints_for(shard).find(|cp| cp.seq == seq)
+    /// The newest checkpoint that covers exactly the ops up to `seq`:
+    /// the image a ring round at `cp_seq = seq` anchors to.
+    pub(crate) fn checkpoint_at(&self, seq: u64) -> Option<&CheckpointRecord> {
+        self.checkpoints().find(|cp| cp.seq == seq)
     }
 
     /// Op and add-node records with sequence numbers after `seq`, as
@@ -933,14 +935,13 @@ impl Retained {
             Some(WalRecord::EpochMeta(m)) => Some(m.cp_seq),
             _ => None,
         });
-        let mut newest = BTreeSet::new();
-        let mut at_ring = BTreeSet::new();
-        let (mut meta, mut unusable) = (false, false);
+        let (mut newest, mut at_ring, mut meta, mut unusable) = (false, false, false, false);
         for &i in self.aux.iter().rev() {
             let keep = match &self.slots[i] {
                 Some(WalRecord::Checkpoint(cp)) => {
-                    let is_newest = newest.insert(cp.shard);
-                    let is_at_ring = ring_seq == Some(cp.seq) && at_ring.insert(cp.shard);
+                    let is_newest = !std::mem::replace(&mut newest, true);
+                    let is_at_ring =
+                        ring_seq == Some(cp.seq) && !std::mem::replace(&mut at_ring, true);
                     is_newest || is_at_ring
                 }
                 Some(WalRecord::EpochMeta(_)) => !std::mem::replace(&mut meta, true),
@@ -1101,7 +1102,7 @@ fn next_record(
 // ---- the writer ---------------------------------------------------------
 
 /// An open, append-only log. Created or recovered with
-/// [`Wal::open_or_create`]; the serving layer holds one per router.
+/// [`Wal::open_or_create`]; the serving layer holds one per handle.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
@@ -1298,17 +1299,10 @@ pub struct Rebuilt {
     pub last_seq: u64,
 }
 
-fn owner(x: u32, block: u64, shard_count: u32) -> u32 {
-    if block == 0 || shard_count == 0 {
-        return 0;
-    }
-    ((x as u64 / block) as u32).min(shard_count - 1)
-}
-
-/// Reconstructs an engine from a recovered log: newest usable checkpoint
-/// for `shard` (see [`RecoveredLog::newest_checkpoint`]), then replay of
-/// the op suffix — filtered to the shard's owned ops when `shard` is
-/// `Some` and the logged partition has more than one shard.
+/// Reconstructs an engine from a recovered log: the newest checkpoint
+/// (see [`RecoveredLog::newest_checkpoint`]), then replay of the op
+/// suffix. The third argument is ignored: it once picked one engine of
+/// a multi-engine router, and stays so existing callers compile.
 ///
 /// `builder` supplies everything the log does not store: engine kind,
 /// apply policy, probe seed. Pass the same builder the crashed system was
@@ -1316,8 +1310,10 @@ fn owner(x: u32, block: u64, shard_count: u32) -> u32 {
 ///
 /// # Examples
 ///
-/// A durable router writes a base checkpoint at build time and appends
-/// every committed op, so after a crash the log alone reproduces it:
+/// A durable handle writes a base checkpoint at build time, appends
+/// every committed op, and embeds a fresh checkpoint every
+/// `checkpoint_every` ops, so after a crash the log alone reproduces it
+/// from the newest checkpoint:
 ///
 /// ```
 /// use incsim::api::{ApplyPolicy, EngineKind, SimRankBuilder};
@@ -1336,13 +1332,16 @@ fn owner(x: u32, block: u64, shard_count: u32) -> u32 {
 ///     .algorithm(EngineKind::IncSr)
 ///     .mode(ApplyPolicy::Fused)
 ///     .config(cfg);
-/// let mut srv =
-///     ShardedSimRank::with_scores(builder.clone().wal(&path), g, scores).unwrap();
+/// let durable = builder.clone().wal(&path).checkpoint_every(2);
+/// let mut srv = ShardedSimRank::with_scores(durable, g, scores).unwrap();
 /// srv.update(UpdateOp::Insert(0, 3)).unwrap();
+/// srv.update(UpdateOp::Insert(4, 0)).unwrap(); // seq 2: a checkpoint
+/// srv.update(UpdateOp::Delete(2, 3)).unwrap();
 /// let live = srv.pair(0, 1);
 /// drop(srv); // crash: only the log survives
 ///
 /// let rebuilt = rebuild_engine(&builder, &read_log(&path).unwrap(), None).unwrap();
+/// assert_eq!(rebuilt.checkpoint_seq, 2);
 /// assert_eq!(rebuilt.replayed_ops, 1);
 /// let mut sim = rebuilt.sim;
 /// assert_eq!(sim.pair(0, 1).to_bits(), live.to_bits());
@@ -1351,43 +1350,36 @@ fn owner(x: u32, block: u64, shard_count: u32) -> u32 {
 ///
 /// # Errors
 /// [`WalError::NoCheckpoint`] when the log holds no usable checkpoint;
-/// decode/build failures are forwarded.
+/// [`WalError::ShardedLog`] when the newest checkpoint comes from a
+/// multi-engine router; decode/build failures are forwarded.
 pub fn rebuild_engine(
     builder: &SimRankBuilder,
     log: &RecoveredLog,
-    shard: Option<u32>,
+    _shard: Option<u32>,
 ) -> Result<Rebuilt, WalError> {
-    let cp = log.newest_checkpoint(shard).ok_or(WalError::NoCheckpoint)?;
+    let cp = log.newest_checkpoint().ok_or(WalError::NoCheckpoint)?;
+    if cp.shard_count > 1 {
+        return Err(WalError::ShardedLog {
+            shard_count: cp.shard_count,
+        });
+    }
     let mut sim = match &cp.image {
         CheckpointImage::Dense(bytes) => builder.clone().from_snapshot(&bytes[..])?,
         CheckpointImage::GraphOnly { config, graph } => {
             builder.clone().config(*config).from_graph(graph.clone())?
         }
     };
-    let filter_shard = match shard {
-        Some(s) if cp.shard_count > 1 => Some(s),
-        _ => None,
-    };
     let mut replayed = 0u64;
     for rec in log.ops_after(cp.seq) {
         match rec.op {
             ReplayOp::Edge(op) => {
-                let (u, v) = op.endpoints();
-                if let Some(s) = filter_shard {
-                    let owned = owner(u, cp.block, cp.shard_count) == s
-                        || owner(v, cp.block, cp.shard_count) == s;
-                    if !owned {
-                        continue;
-                    }
-                }
                 sim.update(op).map_err(BuildError::Engine)?;
-                replayed += 1;
             }
             ReplayOp::AddNode => {
                 sim.add_node();
-                replayed += 1;
             }
         }
+        replayed += 1;
     }
     sim.counters_mut().replayed_ops += replayed;
     Ok(Rebuilt {
@@ -1440,14 +1432,8 @@ mod tests {
             .config(cfg())
             .from_graph(fixture())
             .unwrap();
-        wal.append_checkpoint(&CheckpointRecord {
-            shard: None,
-            shard_count: 1,
-            block: 6,
-            seq: 0,
-            image: checkpoint_image_for(&mut sim),
-        })
-        .unwrap();
+        wal.append_checkpoint(&CheckpointRecord::new(0, checkpoint_image_for(&mut sim)))
+            .unwrap();
         let first = wal
             .append_ops(&[UpdateOp::Insert(0, 4), UpdateOp::Delete(2, 3)])
             .unwrap();
@@ -1462,7 +1448,7 @@ mod tests {
         assert!(!log.torn);
         assert_eq!(log.records.len(), 4);
         assert_eq!(log.last_seq(), 3);
-        assert!(log.newest_checkpoint(Some(0)).is_some());
+        assert!(log.newest_checkpoint().is_some());
         assert!(matches!(
             log.records[1],
             WalRecord::Op {
@@ -1546,14 +1532,8 @@ mod tests {
 
         let (mut wal, _) = Wal::open_or_create(&path).unwrap();
         let mut live = builder.clone().from_graph(fixture()).unwrap();
-        wal.append_checkpoint(&CheckpointRecord {
-            shard: None,
-            shard_count: 1,
-            block: 6,
-            seq: 0,
-            image: checkpoint_image_for(&mut live),
-        })
-        .unwrap();
+        wal.append_checkpoint(&CheckpointRecord::new(0, checkpoint_image_for(&mut live)))
+            .unwrap();
         let ops = [
             UpdateOp::Insert(0, 4),
             UpdateOp::Insert(5, 2),
@@ -1596,49 +1576,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn shard_rebuild_filters_by_ownership() {
-        // Partition: 2 shards over 6 nodes, block 3 — shard 0 owns 0..3.
-        let log = RecoveredLog {
-            records: vec![
-                WalRecord::Checkpoint(CheckpointRecord {
-                    shard: None,
-                    shard_count: 2,
-                    block: 3,
-                    seq: 0,
-                    image: CheckpointImage::GraphOnly {
-                        config: cfg(),
-                        graph: fixture(),
-                    },
-                }),
-                WalRecord::Op {
-                    seq: 1,
-                    op: UpdateOp::Insert(0, 1), // shard 0 only
-                },
-                WalRecord::Op {
-                    seq: 2,
-                    op: UpdateOp::Insert(4, 3), // both endpoints owned by shard 1
-                },
-                WalRecord::Op {
-                    seq: 3,
-                    op: UpdateOp::Insert(5, 4), // shard 1 only
-                },
-            ],
-            torn: false,
-            valid_bytes: 0,
-        };
-        // owner(3) = min(3/3, 1) = 1 — so op seq 2 belongs to shard 1 only.
-        let s0 = rebuild_engine(&SimRankBuilder::new().config(cfg()), &log, Some(0)).unwrap();
-        assert_eq!(s0.replayed_ops, 1);
-        assert!(s0.sim.graph().has_edge(0, 1));
-        assert!(!s0.sim.graph().has_edge(5, 4));
-        let s1 = rebuild_engine(&SimRankBuilder::new().config(cfg()), &log, Some(1)).unwrap();
-        assert_eq!(s1.replayed_ops, 2);
-        assert!(s1.sim.graph().has_edge(4, 3));
-        assert!(s1.sim.graph().has_edge(5, 4));
-        assert!(!s1.sim.graph().has_edge(0, 1));
-    }
-
     fn sample_delta(n: usize) -> LowRankDelta {
         let mut d = LowRankDelta::new(n);
         d.push_sparse(vec![(0, 0.5), (2, -1.25)], vec![(1, 2.0)]);
@@ -1653,10 +1590,7 @@ mod tests {
                 stamp: 0,
                 at_op: 0,
                 n: 4,
-                shards: vec![
-                    ShardDeltaImage::Dense(sample_delta(4)),
-                    ShardDeltaImage::Replay,
-                ],
+                delta: DeltaImage::Dense(sample_delta(4)),
                 ops: vec![ReplayOp::Edge(UpdateOp::Insert(0, 1)), ReplayOp::AddNode],
             },
             EpochDeltaRecord {
@@ -1665,7 +1599,7 @@ mod tests {
                 stamp: 3,
                 at_op: 3,
                 n: 5,
-                shards: vec![ShardDeltaImage::Broken, ShardDeltaImage::Replay],
+                delta: DeltaImage::Broken,
                 ops: vec![ReplayOp::Edge(UpdateOp::Delete(1, 2))],
             },
         ];
@@ -1677,12 +1611,9 @@ mod tests {
             head_n: 5,
             retain: 3,
             entries: deltas.len(),
-            anchors: vec![
-                ShardDeltaImage::Dense(sample_delta(5)),
-                ShardDeltaImage::Replay,
-            ],
+            anchor: DeltaImage::Dense(sample_delta(5)),
             pending: vec![ReplayOp::Edge(UpdateOp::Insert(3, 4))],
-            tails: vec![None, Some(DiGraph::from_edges(4, &[(0, 1), (2, 3)]))],
+            tail: Some(DiGraph::from_edges(4, &[(0, 1), (2, 3)])),
         };
         (deltas, meta)
     }
@@ -1709,14 +1640,14 @@ mod tests {
         assert_eq!(ds.len(), 2);
         assert_eq!(ds[0].ops.len(), 2);
         assert_eq!(ds[1].n, 5);
-        assert!(matches!(ds[1].shards[0], ShardDeltaImage::Broken));
+        assert!(matches!(ds[1].delta, DeltaImage::Broken));
         assert!(matches!(
             m.pending[..],
             [ReplayOp::Edge(UpdateOp::Insert(3, 4))]
         ));
-        assert_eq!(m.tails[1].as_ref().unwrap().edge_count(), 2);
-        match &ds[0].shards[0] {
-            ShardDeltaImage::Dense(d) => {
+        assert_eq!(m.tail.as_ref().unwrap().edge_count(), 2);
+        match &ds[0].delta {
+            DeltaImage::Dense(d) => {
                 assert_eq!(d.encode(), sample_delta(4).encode());
             }
             other => panic!("expected dense delta, got {other:?}"),
@@ -1802,13 +1733,7 @@ mod tests {
             .config(cfg())
             .from_graph(fixture())
             .unwrap();
-        let cp = CheckpointRecord {
-            shard: None,
-            shard_count: 1,
-            block: 6,
-            seq: 0,
-            image: checkpoint_image_for(&mut sim),
-        };
+        let cp = CheckpointRecord::new(0, checkpoint_image_for(&mut sim));
         let mut v2 = Vec::new();
         encode_checkpoint_into(&mut v2, &cp);
         assert_eq!(v2[0], TAG_CHECKPOINT2);
@@ -1821,7 +1746,7 @@ mod tests {
         frame(&mut bytes, |p| p.extend_from_slice(&v1));
         let log = read_records(&bytes).unwrap();
         assert!(!log.torn);
-        let got = log.newest_checkpoint(None).expect("v1 checkpoint decodes");
+        let got = log.newest_checkpoint().expect("v1 checkpoint decodes");
         assert_eq!(got.seq, 0);
         assert_eq!(got.shard_count, 1);
         assert!(matches!(got.image, CheckpointImage::Dense(_)));
@@ -1835,16 +1760,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let (mut wal, _) = Wal::open_or_create(&path).unwrap();
         let config = cfg();
-        wal.append_checkpoint(&CheckpointRecord {
-            shard: Some(1),
-            shard_count: 2,
-            block: 3,
-            seq: 7,
-            image: CheckpointImage::GraphOnly {
+        wal.append_checkpoint(&CheckpointRecord::new(
+            7,
+            CheckpointImage::GraphOnly {
                 config,
                 graph: DiGraph::from_edges(2, &[(0, 1)]),
             },
-        })
+        ))
         .unwrap();
         let delta = EpochDeltaRecord {
             cp_seq: 7,
@@ -1852,11 +1774,7 @@ mod tests {
             stamp: 5,
             at_op: 6,
             n: 300,
-            shards: vec![
-                ShardDeltaImage::Dense(sample_delta(4)),
-                ShardDeltaImage::Replay,
-                ShardDeltaImage::Broken,
-            ],
+            delta: DeltaImage::Dense(sample_delta(4)),
             ops: vec![
                 ReplayOp::Edge(UpdateOp::Insert(1, 200)),
                 ReplayOp::Edge(UpdateOp::Delete(0, 1)),
@@ -1877,13 +1795,14 @@ mod tests {
             f.extend(payload);
             f
         };
-        // Tag 4: version, shard u32, shard_count u32, block u64, seq u64,
-        // image_kind u8, image_len u64, then a graph-only image: c f64,
-        // iterations u64, zero_tol f64, n u64, m u64, one packed u64 edge.
+        // Tag 4: version, shard u32 (reserved: u32::MAX), shard_count u32
+        // (1), block u64 (reserved: 0), seq u64, image_kind u8, image_len
+        // u64, then a graph-only image: c f64, iterations u64, zero_tol
+        // f64, n u64, m u64, one packed u64 edge.
         let mut cp = vec![4, 1];
+        cp.extend(u32::MAX.to_le_bytes());
         cp.extend(1u32.to_le_bytes());
-        cp.extend(2u32.to_le_bytes());
-        cp.extend(3u64.to_le_bytes());
+        cp.extend(0u64.to_le_bytes());
         cp.extend(7u64.to_le_bytes());
         cp.push(0);
         cp.extend(48u64.to_le_bytes());
@@ -1895,15 +1814,15 @@ mod tests {
         // Edge 0 → 1, packed as (u << 32) | v.
         cp.extend(1u64.to_le_bytes());
         // Tag 6: version, cp_seq u64, seq u64, stamp u64, at_op u64, then
-        // varints: n = 300, 3 shard images (dense factors, replay,
-        // broken), 3 ops (insert 1→200, delete 0→1, add node).
+        // varints: n = 300, 1 image (dense factors), 3 ops (insert 1→200,
+        // delete 0→1, add node).
         let mut ep = vec![6, 1];
         for v in [7u64, 2, 5, 6] {
             ep.extend(v.to_le_bytes());
         }
-        ep.extend([0xAC, 0x02, 3, 0]);
+        ep.extend([0xAC, 0x02, 1, 0]);
         ep.extend(sample_delta(4).encode());
-        ep.extend([1, 2, 3, 0, 1, 0xC8, 0x01, 1, 0, 1, 2]);
+        ep.extend([3, 0, 1, 0xC8, 0x01, 1, 0, 1, 2]);
 
         let want = [MAGIC.to_vec(), framed(cp), framed(ep)].concat();
         assert_eq!(bytes[..want.len()], want[..]);
@@ -1920,7 +1839,7 @@ mod tests {
         drop(srv);
         let log = read_log(&path).unwrap();
         assert!(!log.torn);
-        assert_eq!(log.newest_checkpoint(None).map(|cp| cp.seq), Some(0));
+        assert_eq!(log.newest_checkpoint().map(|cp| cp.seq), Some(0));
         assert_eq!(log.op_count(), 1);
 
         // Any other short or mismatched header is still not a log.
@@ -1959,27 +1878,24 @@ mod tests {
     }
 
     /// Non-op records a log of `rounds` checkpoint rounds retains: each
-    /// round is an op, a checkpoint per shard and a two-entry ring.
+    /// round is an op, a checkpoint and a two-entry ring.
     fn retained_non_ops(rounds: u64) -> usize {
         let path = tmp(&format!("rounds_{rounds}"));
         let _ = std::fs::remove_file(&path);
         let (mut wal, _) = Wal::open_or_create(&path).unwrap();
-        let checkpoint = |shard, seq| CheckpointRecord {
-            shard,
-            shard_count: 2,
-            block: 3,
-            seq,
-            image: CheckpointImage::GraphOnly {
-                config: cfg(),
-                graph: fixture(),
-            },
+        let checkpoint = |seq| {
+            CheckpointRecord::new(
+                seq,
+                CheckpointImage::GraphOnly {
+                    config: cfg(),
+                    graph: fixture(),
+                },
+            )
         };
-        wal.append_checkpoint(&checkpoint(None, 0)).unwrap();
+        wal.append_checkpoint(&checkpoint(0)).unwrap();
         for _ in 0..rounds {
             let seq = wal.append_ops(&[UpdateOp::Insert(0, 1)]).unwrap();
-            for s in 0..2 {
-                wal.append_checkpoint(&checkpoint(Some(s), seq)).unwrap();
-            }
+            wal.append_checkpoint(&checkpoint(seq)).unwrap();
             let (deltas, meta) = sample_ring(seq);
             wal.append_epoch_ring(&deltas, &meta).unwrap();
         }
@@ -2023,17 +1939,17 @@ mod tests {
         last_seq: u64,
         op_count: usize,
         has_epoch_frames: bool,
-        /// Encoded newest checkpoint for the global base, then each shard.
-        newest: Vec<Option<Vec<u8>>>,
+        /// Encoded newest checkpoint.
+        newest: Option<Vec<u8>>,
         /// Meta `cp_seq`, `head_seq`, `entries` and the delta seqs.
         ring: Option<(u64, u64, usize, Vec<u64>)>,
         floor: u64,
-        /// Encoded checkpoint per shard at the ring's `cp_seq`.
-        ring_images: Vec<Option<Vec<u8>>>,
+        /// Encoded checkpoint at the ring's `cp_seq`.
+        ring_image: Option<Vec<u8>>,
         ops: Vec<ReplayEntry>,
     }
 
-    fn answers(log: &RecoveredLog, shards: u32) -> Answers {
+    fn answers(log: &RecoveredLog) -> Answers {
         let encoded = |cp: Option<&CheckpointRecord>| {
             cp.map(|cp| {
                 let mut p = Vec::new();
@@ -2048,10 +1964,7 @@ mod tests {
             last_seq: log.last_seq(),
             op_count: log.op_count(),
             has_epoch_frames: log.has_epoch_frames(),
-            newest: std::iter::once(None)
-                .chain((0..shards).map(Some))
-                .map(|key| encoded(log.newest_checkpoint(key)))
-                .collect(),
+            newest: encoded(log.newest_checkpoint()),
             ring: ring.as_ref().map(|(m, ds)| {
                 (
                     m.cp_seq,
@@ -2061,36 +1974,38 @@ mod tests {
                 )
             }),
             floor: log.history_floor(),
-            ring_images: ring.map_or_else(Vec::new, |(m, _)| {
-                (0..shards)
-                    .map(|s| encoded(log.checkpoint_at(Some(s), m.cp_seq)))
-                    .collect()
-            }),
+            ring_image: ring.and_then(|(m, _)| encoded(log.checkpoint_at(m.cp_seq))),
             ops: log.ops_after(0).collect(),
         }
     }
 
+    /// The builder of [`retained_log`]'s handle, minus the log path.
+    fn retained_builder() -> SimRankBuilder {
+        SimRankBuilder::new()
+            .config(cfg())
+            .algorithm(EngineKind::IncSr)
+            .mode(ApplyPolicy::Eager)
+            .retain_epochs(3)
+            .checkpoint_every(4)
+    }
+
     /// A retained durable log: a ring round every 4 ops, a publish every
-    /// 2, and one injected apply panic whose shard rebuild writes a
-    /// second round at the same `cp_seq`.
-    fn retained_log(shards: usize) -> Vec<u8> {
+    /// 2, and one injected apply panic whose rebuild writes a second
+    /// round at the same `cp_seq`, written to a scratch file named by
+    /// `tag`. Returns the log's bytes and the handle's head pair reads
+    /// when it was dropped.
+    fn retained_log(tag: &str) -> (Vec<u8>, Vec<f64>) {
         use crate::datagen::{er::erdos_renyi, updates::random_mixed};
         use crate::serve::ServeError;
         use rand::{rngs::StdRng, SeedableRng};
 
-        let mut rng = StdRng::seed_from_u64(0x5EED + shards as u64);
+        let mut rng = StdRng::seed_from_u64(0x5EED + 1);
         let graph = erdos_renyi(10, 24, &mut rng);
         let ops = random_mixed(&graph, 30, 0.7, &mut rng);
-        let path = tmp(&format!("retained_{shards}"));
+        let path = tmp(tag);
         let _ = std::fs::remove_file(&path);
         let fault = faults::ApplyFaults::panic_at_op(17);
-        let mut srv = SimRankBuilder::new()
-            .config(cfg())
-            .algorithm(EngineKind::IncSr)
-            .mode(ApplyPolicy::Eager)
-            .shards(shards)
-            .retain_epochs(3)
-            .checkpoint_every(4)
+        let mut srv = retained_builder()
             .fault_injection(fault.clone())
             .wal(&path)
             .concurrent(graph)
@@ -2099,8 +2014,8 @@ mod tests {
         for (i, &op) in ops.iter().enumerate() {
             match srv.update(op) {
                 Ok(_) => {}
-                Err(ServeError::ShardPanicked { shard, .. }) => {
-                    srv.rebuild_shard(shard).unwrap();
+                Err(ServeError::Panicked { .. }) => {
+                    srv.rebuild().unwrap();
                     rebuilds += 1;
                 }
                 Err(e) => panic!("update {i} failed: {e}"),
@@ -2110,59 +2025,231 @@ mod tests {
             }
         }
         assert!(fault.exhausted() && rebuilds == 1);
+        let head = head_reads(srv.sharded());
         drop(srv);
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        bytes
+        (bytes, head)
+    }
+
+    /// Every pair read of a handle's live engine, row by row.
+    fn head_reads(h: &crate::serve::ShardedSimRank) -> Vec<f64> {
+        let n = h.graph().node_count() as u32;
+        (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .map(|(a, b)| h.pair(a, b))
+            .collect()
     }
 
     #[test]
     fn streaming_reader_agrees_with_a_full_decode() {
-        for shards in [1u32, 2] {
-            let bytes = retained_log(shards as usize);
-            let full = read_all(&bytes);
-            assert!(full.newest_epoch_ring().is_some());
-            assert!(read_records(&bytes).unwrap().records.len() < full.records.len());
+        let (bytes, _) = retained_log("retained");
+        let full = read_all(&bytes);
+        assert!(full.newest_epoch_ring().is_some());
+        assert!(read_records(&bytes).unwrap().records.len() < full.records.len());
 
-            let check = |image: &[u8], what: &str| {
-                let got = answers(&read_records(image).unwrap(), shards);
-                assert_eq!(
-                    got,
-                    answers(&read_all(image), shards),
-                    "{shards} shard(s), {what}"
-                );
-            };
-            let offsets = frame_offsets(&bytes);
-            for &cut in &offsets {
-                check(&bytes[..cut], &format!("cut at frame boundary {cut}"));
-            }
-            for w in offsets.windows(2) {
-                let cut = (w[0] + w[1]) / 2;
-                check(&bytes[..cut], &format!("cut mid-frame at {cut}"));
-            }
-            let mut damaged_frames = 0;
-            for (off, kind) in frame_kinds(&bytes) {
-                if !matches!(kind, FrameKind::EpochDelta | FrameKind::EpochMeta) {
-                    continue;
-                }
-                let mut damaged = bytes.clone();
-                let len = u32::from_le_bytes(damaged[off..off + 4].try_into().unwrap()) as usize;
-                let payload = off + FRAME_HEADER..off + FRAME_HEADER + len;
-                damaged[payload.start + 1] = 99; // envelope version byte
-                let crc = crc32(&damaged[payload]);
-                damaged[off + 4..off + 8].copy_from_slice(&crc.to_le_bytes());
-                check(
-                    &damaged,
-                    &format!("{kind:?} frame at {off} version-damaged"),
-                );
-                let cut = off + FRAME_HEADER + len;
-                check(
-                    &damaged[..cut],
-                    &format!("log cut after damaged frame at {off}"),
-                );
-                damaged_frames += 1;
-            }
-            assert!(damaged_frames > 10, "fixture lost its epoch frames");
+        let check = |image: &[u8], what: &str| {
+            let got = answers(&read_records(image).unwrap());
+            assert_eq!(got, answers(&read_all(image)), "{what}");
+        };
+        let offsets = frame_offsets(&bytes);
+        for &cut in &offsets {
+            check(&bytes[..cut], &format!("cut at frame boundary {cut}"));
         }
+        for w in offsets.windows(2) {
+            let cut = (w[0] + w[1]) / 2;
+            check(&bytes[..cut], &format!("cut mid-frame at {cut}"));
+        }
+        let mut damaged_frames = 0;
+        for (off, kind) in frame_kinds(&bytes) {
+            if !matches!(kind, FrameKind::EpochDelta | FrameKind::EpochMeta) {
+                continue;
+            }
+            let mut damaged = bytes.clone();
+            let len = u32::from_le_bytes(damaged[off..off + 4].try_into().unwrap()) as usize;
+            let payload = off + FRAME_HEADER..off + FRAME_HEADER + len;
+            damaged[payload.start + 1] = 99; // envelope version byte
+            let crc = crc32(&damaged[payload]);
+            damaged[off + 4..off + 8].copy_from_slice(&crc.to_le_bytes());
+            check(
+                &damaged,
+                &format!("{kind:?} frame at {off} version-damaged"),
+            );
+            let cut = off + FRAME_HEADER + len;
+            check(
+                &damaged[..cut],
+                &format!("log cut after damaged frame at {off}"),
+            );
+            damaged_frames += 1;
+        }
+        assert!(damaged_frames > 10, "fixture lost its epoch frames");
+    }
+
+    #[test]
+    fn recovery_starts_from_the_newest_checkpoint() {
+        let path = tmp("newest_checkpoint");
+        let _ = std::fs::remove_file(&path);
+        let builder = SimRankBuilder::new().config(cfg()).checkpoint_every(4);
+        let mut srv = builder.clone().wal(&path).build_sharded(fixture()).unwrap();
+        for &(u, v) in &[
+            (0, 4),
+            (5, 2),
+            (1, 3),
+            (4, 0),
+            (3, 5),
+            (2, 4),
+            (0, 5),
+            (1, 4),
+            (3, 1),
+            (5, 0),
+        ] {
+            srv.update(UpdateOp::Insert(u, v)).unwrap();
+        }
+        drop(srv);
+        // Checkpoints at seq 0 (the base), 4 and 8; ops run to seq 10.
+        let log = read_log(&path).unwrap();
+        let rebuilt = rebuild_engine(&builder, &log, None).unwrap();
+        assert_eq!(rebuilt.checkpoint_seq, 8);
+        assert_eq!(rebuilt.replayed_ops, 2);
+        assert_eq!(rebuilt.last_seq, 10);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Rewrites the reserved fields of every checkpoint frame in `bytes`
+    /// — `fields(k)` gives the `k`-th checkpoint's `(shard, shard_count,
+    /// block)` — and re-stamps each frame's CRC.
+    fn retag_checkpoints(bytes: &mut [u8], fields: impl Fn(usize) -> (u32, u32, u64)) -> usize {
+        let at = frame_kinds(bytes);
+        let checkpoints = at.iter().filter(|(_, k)| *k == FrameKind::Checkpoint);
+        let mut count = 0;
+        for (k, &(off, _)) in checkpoints.enumerate() {
+            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+            let body = off + FRAME_HEADER;
+            // Tag 4, version byte, then shard u32, shard_count u32, block u64.
+            assert_eq!(bytes[body..body + 2], [TAG_CHECKPOINT2, RECORD_VERSION]);
+            let (shard, shard_count, block) = fields(k);
+            bytes[body + 2..body + 6].copy_from_slice(&shard.to_le_bytes());
+            bytes[body + 6..body + 10].copy_from_slice(&shard_count.to_le_bytes());
+            bytes[body + 10..body + 18].copy_from_slice(&block.to_le_bytes());
+            let crc = crc32(&bytes[body..body + len]);
+            bytes[off + 4..off + 8].copy_from_slice(&crc.to_le_bytes());
+            count += 1;
+        }
+        count
+    }
+
+    #[test]
+    fn single_shard_router_logs_reopen_from_their_newest_checkpoint() {
+        use crate::serve::HistoryStatus;
+        // The shape a one-shard router wrote: its base image tagged global
+        // with the partition block, every later image tagged shard 0.
+        let (mut bytes, head) = retained_log("router_shape_src");
+        let images = retag_checkpoints(&mut bytes, |k| {
+            if k == 0 {
+                (SHARD_GLOBAL, 1, 10)
+            } else {
+                (0, 1, 10)
+            }
+        });
+        assert!(images > 2, "fixture lost its cadence checkpoints");
+        let log = read_records(&bytes).unwrap();
+        let newest = log.newest_checkpoint().unwrap().seq;
+        assert!(newest > 0);
+
+        let path = tmp("router_shape");
+        std::fs::write(&path, &bytes).unwrap();
+        let srv = retained_builder().wal(&path).concurrent(fixture()).unwrap();
+        assert!(matches!(
+            srv.history_status(),
+            HistoryStatus::Recovered { .. }
+        ));
+        let replayed = log.ops_after(newest).count() as u64;
+        assert_eq!(srv.counters().replayed_ops, replayed);
+        assert_eq!(srv.sharded().last_seq(), log.last_seq());
+        let reopened = head_reads(srv.sharded());
+        assert!(reopened
+            .iter()
+            .zip(&head)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn multi_shard_logs_fail_recovery_untouched() {
+        let (mut bytes, _) = retained_log("multi_shard_src");
+        retag_checkpoints(&mut bytes, |k| {
+            (if k == 0 { SHARD_GLOBAL } else { 1 }, 2, 5)
+        });
+        let path = tmp("multi_shard");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = retained_builder()
+            .wal(&path)
+            .concurrent(fixture())
+            .err()
+            .unwrap();
+        assert!(
+            matches!(&err, BuildError::Wal(e) if matches!(**e, WalError::ShardedLog { shard_count: 2 })),
+            "{err:?}"
+        );
+        let log = read_log(&path).unwrap();
+        assert!(matches!(
+            rebuild_engine(&retained_builder(), &log, Some(0)),
+            Err(WalError::ShardedLog { shard_count: 2 })
+        ));
+        // The reopen decoded the log without calling any frame torn.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn ring_rounds_with_several_images_recover_head_only() {
+        use crate::serve::HistoryStatus;
+        let path = tmp("two_image_ring");
+        let _ = std::fs::remove_file(&path);
+        let builder = SimRankBuilder::new().config(cfg()).checkpoint_every(2);
+        let mut srv = builder.clone().wal(&path).build_sharded(fixture()).unwrap();
+        srv.update(UpdateOp::Insert(0, 4)).unwrap();
+        srv.update(UpdateOp::Insert(5, 2)).unwrap();
+        let head = head_reads(&srv);
+        drop(srv);
+
+        // A round at the cadence checkpoint (seq 2) whose delta frame and
+        // meta trailer each carry two `Broken` images instead of one.
+        let (mut deltas, mut meta) = sample_ring(2);
+        deltas.truncate(1);
+        deltas[0].delta = DeltaImage::Broken;
+        meta.entries = 1;
+        meta.anchor = DeltaImage::Broken;
+        let mut bytes = std::fs::read(&path).unwrap();
+        frame(&mut bytes, |p| {
+            // Tag, version, four u64s and the one-byte `n` varint.
+            let at = p.len() + 35;
+            encode_epoch_delta_into(p, &deltas[0]);
+            assert_eq!(p[at..at + 2], [1, 2]);
+            p.splice(at..at + 2, [2, 2, 2]);
+        });
+        frame(&mut bytes, |p| {
+            // Tag, version, four u64s and three one-byte varints.
+            let at = p.len() + 37;
+            encode_epoch_meta_into(p, &meta);
+            assert_eq!(p[at..at + 2], [1, 2]);
+            p.splice(at..at + 2, [2, 2, 2]);
+        });
+        std::fs::write(&path, &bytes).unwrap();
+        let log = read_records(&bytes).unwrap();
+        assert!(!log.torn && log.newest_epoch_ring().is_none());
+
+        let srv = builder
+            .retain_epochs(3)
+            .wal(&path)
+            .concurrent(fixture())
+            .unwrap();
+        assert!(matches!(
+            srv.history_status(),
+            HistoryStatus::Unavailable { .. }
+        ));
+        assert_eq!(head_reads(srv.sharded()), head);
+        let _ = std::fs::remove_file(&path);
     }
 }

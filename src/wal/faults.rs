@@ -188,10 +188,9 @@ impl FaultPlan {
 }
 
 /// A schedule of mid-apply panics, shared with every engine the builder
-/// wraps (the sharded router clones its builder per shard, so one
-/// `Arc<ApplyFaults>` spans all shards — the countdown is global across
-/// them, which is exactly what "panic at the Nth op of this batch"
-/// means).
+/// wraps (builder clones share the one `Arc<ApplyFaults>`, so the
+/// countdown spans the serving engine and any engine rebuilt after a
+/// quarantine — "panic at the Nth op" counts every op applied).
 #[derive(Debug)]
 pub struct ApplyFaults {
     /// Ops until the panic fires; `<= 0` means disarmed (a fired fault
@@ -382,7 +381,7 @@ mod tests {
     #[test]
     fn kind_targeting_resolves_frames_in_class_order() {
         use crate::wal::{
-            CheckpointImage, CheckpointRecord, EpochDeltaRecord, EpochMetaRecord, ShardDeltaImage,
+            CheckpointImage, CheckpointRecord, DeltaImage, EpochDeltaRecord, EpochMetaRecord,
         };
         let path = {
             let mut p = std::env::temp_dir();
@@ -393,16 +392,13 @@ mod tests {
         let (mut wal, _) = Wal::open_or_create(&path).unwrap();
         wal.append_ops(&[UpdateOp::Insert(0, 1), UpdateOp::Insert(1, 2)])
             .unwrap();
-        wal.append_checkpoint(&CheckpointRecord {
-            shard: None,
-            shard_count: 1,
-            block: 4,
-            seq: 2,
-            image: CheckpointImage::GraphOnly {
+        wal.append_checkpoint(&CheckpointRecord::new(
+            2,
+            CheckpointImage::GraphOnly {
                 config: SimRankConfig::new(0.6, 10).unwrap(),
                 graph: DiGraph::new(3),
             },
-        })
+        ))
         .unwrap();
         wal.append_epoch_ring(
             &[EpochDeltaRecord {
@@ -411,7 +407,7 @@ mod tests {
                 stamp: 0,
                 at_op: 0,
                 n: 3,
-                shards: vec![ShardDeltaImage::Replay],
+                delta: DeltaImage::Replay,
                 ops: Vec::new(),
             }],
             &EpochMetaRecord {
@@ -422,9 +418,9 @@ mod tests {
                 head_n: 3,
                 retain: 2,
                 entries: 1,
-                anchors: vec![ShardDeltaImage::Replay],
+                anchor: DeltaImage::Replay,
                 pending: Vec::new(),
-                tails: vec![None],
+                tail: None,
             },
         )
         .unwrap();

@@ -195,16 +195,6 @@ fn reconstructed_epochs_track_the_recorded_trajectory_on_rmat() {
 }
 
 #[test]
-fn sharded_trajectory_survives_reconstruction_too() {
-    let mut rng = StdRng::seed_from_u64(0x71);
-    let g = erdos_renyi(16, 40, &mut rng);
-    let ops = stream(&g, 12, 0x72);
-    let mut srv = builder(4).shards(2).concurrent(g).expect("builds");
-    let recorded = drive_and_record(&mut srv, &ops, 3);
-    assert_trajectory(&srv, &recorded, 1e-12);
-}
-
-#[test]
 fn probe_reconstruction_is_seed_identical_to_the_live_answer() {
     let mut rng = StdRng::seed_from_u64(0x91);
     let g = erdos_renyi(12, 30, &mut rng);

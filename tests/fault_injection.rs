@@ -1,7 +1,7 @@
 //! Fault-injection suite for the durability layer (`incsim::wal`) and the
 //! serving layer's crash containment (`incsim::serve`).
 //!
-//! The central property is **crash-point recovery**: a durable router can
+//! The central property is **crash-point recovery**: a durable handle can
 //! be killed at *any* byte of its write-ahead log — every frame boundary
 //! and arbitrary intra-frame offsets — and `recover + resubmit the lost
 //! suffix` lands within 1e-12 of the uncrashed trajectory for every exact
@@ -17,7 +17,7 @@ use incsim::datagen::er::erdos_renyi;
 use incsim::datagen::rmat::{rmat, RmatParams};
 use incsim::datagen::updates::random_mixed;
 use incsim::graph::{DiGraph, UpdateOp};
-use incsim::serve::{ReadStatus, ServeError, ShardedSimRank};
+use incsim::serve::{Health, ReadStatus, ServeError, ShardedSimRank};
 use incsim::wal::faults::{apply_fault, ApplyFaults, Fault, FaultPlan};
 use incsim::wal::{self, WalError};
 use proptest::prelude::*;
@@ -36,7 +36,7 @@ fn cfg() -> SimRankConfig {
     SimRankConfig::new(0.6, 40).unwrap()
 }
 
-/// A durable single-shard run over `ops`, plus everything a crash sweep
+/// A durable run over `ops`, plus everything a crash sweep
 /// needs to judge a recovery: the final WAL image and the uncrashed
 /// trajectory's full pair matrix.
 struct SweepFixture {
@@ -128,12 +128,12 @@ fn check_recovery(fx: &SweepFixture, builder: &SimRankBuilder, fault: Fault, tol
         }
         Err(e) => panic!("recovery must fail typed, got unexpected {e} for {fault:?}"),
     };
-    let rebuilt = match wal::rebuild_engine(builder, &log, Some(0)) {
+    let rebuilt = match wal::rebuild_engine(builder, &log, None) {
         Ok(r) => r,
         Err(WalError::NoCheckpoint) => {
             // Legal only when the fault destroyed every checkpoint frame.
             assert!(
-                log.newest_checkpoint(Some(0)).is_none(),
+                log.newest_checkpoint().is_none(),
                 "NoCheckpoint despite a usable checkpoint, fault {fault:?}"
             );
             return 0;
@@ -287,7 +287,7 @@ fn probe_recovery_is_seed_identical() {
         // query-call index), so both sides must start the same sequence.
         let reference = base.clone().from_graph(final_graph.clone()).unwrap();
         let log = wal::read_records(&apply_fault(&bytes, Fault::TornWrite { cut })).unwrap();
-        let rebuilt = wal::rebuild_engine(&base, &log, Some(0)).unwrap();
+        let rebuilt = wal::rebuild_engine(&base, &log, None).unwrap();
         let k = log.last_seq() as usize;
         let mut sim = rebuilt.sim;
         for &op in &ops[k..] {
@@ -451,7 +451,6 @@ fn ring_crash_points_recover_matrix_engines() {
         .config(cfg())
         .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Eager)
-        .shards(2)
         .retain_epochs(4)
         .checkpoint_every(5);
     let fx = build_ring_fixture(&builder, "ring_incsr");
@@ -475,7 +474,6 @@ fn ring_crash_points_recover_probe_seed_identical() {
             seed: 0xFEED_5EED,
             ..Default::default()
         })
-        .shards(2)
         .retain_epochs(4)
         .checkpoint_every(5);
     let fx = build_ring_fixture(&builder, "ring_probe");
@@ -501,7 +499,6 @@ fn corrupt_epoch_frames_degrade_to_head_only() {
         .config(cfg())
         .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Eager)
-        .shards(2)
         .retain_epochs(4)
         .checkpoint_every(5);
     let fx = build_ring_fixture(&builder, "ring_corrupt");
@@ -554,9 +551,9 @@ fn corrupt_epoch_frames_degrade_to_head_only() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Mid-apply panic on one shard of a live router: the batch stays durable,
-/// the healthy shard keeps serving, reads on the quarantined shard degrade
-/// with a typed status, and a WAL rebuild restores exactness.
+/// Mid-apply panic in a live durable handle: the op stays durable,
+/// writes are refused, checked reads degrade with a typed status, and a
+/// WAL rebuild restores exactness.
 #[test]
 fn quarantine_rebuild_matches_uncrashed_router() {
     let n = 8usize;
@@ -567,11 +564,10 @@ fn quarantine_rebuild_matches_uncrashed_router() {
     let _ = std::fs::remove_file(&path);
 
     let faults = ApplyFaults::panic_on_edge(4, 5);
-    let mut router = ShardedSimRank::with_scores(
+    let mut handle = ShardedSimRank::with_scores(
         SimRankBuilder::new()
             .mode(ApplyPolicy::Eager)
             .config(c)
-            .shards(2)
             .wal(&path)
             .fault_injection(faults.clone()),
         graph.clone(),
@@ -579,37 +575,34 @@ fn quarantine_rebuild_matches_uncrashed_router() {
     )
     .unwrap();
 
-    router.insert(0, 1).unwrap();
-    let err = router.insert(4, 5).unwrap_err();
-    assert!(matches!(err, ServeError::ShardPanicked { shard: 1, .. }));
+    handle.insert(0, 1).unwrap();
+    let err = handle.insert(4, 5).unwrap_err();
+    assert!(matches!(err, ServeError::Panicked { since_seq: 2 }));
     assert!(faults.exhausted());
-    assert_eq!(router.quarantined_shards(), vec![1]);
+    assert_eq!(handle.health(), Health::Quarantined { since_seq: 2 });
 
-    // Healthy shard still writable; quarantined shard rejects with a
-    // retryable error and degrades checked reads.
-    router.insert(1, 3).unwrap();
+    // Writes reject with a retryable error that applies nothing, and
+    // checked reads degrade.
     assert!(matches!(
-        router.insert(6, 4),
-        Err(ServeError::Quarantined { shard: 1, .. })
+        handle.insert(1, 3),
+        Err(ServeError::Quarantined { since_seq: 2, .. })
     ));
     assert!(matches!(
-        router.checked_pair(4, 6),
-        Err(ServeError::Degraded { shard: 1, .. })
+        handle.checked_pair(0, 1),
+        Err(ServeError::Degraded { since_seq: 2 })
     ));
-    router.checked_pair(0, 1).unwrap();
+    assert_eq!(handle.last_seq(), 2, "the refused write was not logged");
 
-    // Rebuild from checkpoint + replay, then compare the whole router
+    // Rebuild from checkpoint + replay, then compare the whole handle
     // against an uncrashed twin that saw the same committed stream.
-    router.rebuild_shard(1).unwrap();
-    assert!(router.quarantined_shards().is_empty());
-    assert!(router.counters().quarantines >= 1);
-    assert!(router.counters().replayed_ops >= 1);
+    handle.rebuild().unwrap();
+    assert_eq!(handle.health(), Health::Healthy);
+    assert_eq!(handle.counters().quarantines, 1);
+    assert!(handle.counters().replayed_ops >= 1);
+    handle.insert(1, 3).unwrap();
 
     let mut twin = ShardedSimRank::with_scores(
-        SimRankBuilder::new()
-            .mode(ApplyPolicy::Eager)
-            .config(c)
-            .shards(2),
+        SimRankBuilder::new().mode(ApplyPolicy::Eager).config(c),
         graph,
         scores,
     )
@@ -620,17 +613,16 @@ fn quarantine_rebuild_matches_uncrashed_router() {
     for a in 0..n as u32 {
         for b in 0..n as u32 {
             assert!(
-                (router.pair(a, b) - twin.pair(a, b)).abs() < 1e-12,
-                "rebuilt router diverges at ({a},{b})"
+                (handle.pair(a, b) - twin.pair(a, b)).abs() < 1e-12,
+                "rebuilt handle diverges at ({a},{b})"
             );
         }
     }
     std::fs::remove_file(&path).ok();
 }
 
-/// Epoch readers hold typed degraded status — never a panic — when the
-/// shard under them is quarantined, including for ids born after the
-/// frozen epoch.
+/// Epoch readers hold typed degraded status — never a panic — while the
+/// handle is quarantined, including for ids born after the frozen epoch.
 #[test]
 fn degraded_epoch_reads_are_typed_and_total() {
     let graph = DiGraph::from_edges(8, &[(0, 2), (1, 2), (2, 3), (4, 6), (5, 6), (6, 7)]);
@@ -642,26 +634,30 @@ fn degraded_epoch_reads_are_typed_and_total() {
             SimRankBuilder::new()
                 .mode(ApplyPolicy::Eager)
                 .config(c)
-                .shards(2)
                 .fault_injection(faults),
             graph,
             scores,
         )
         .unwrap(),
     );
+    let before = serving.reader().pair(4, 6);
     serving.insert(4, 5).unwrap_err();
     serving.publish();
     let reader = serving.reader();
     let epoch = reader.epoch();
-    assert!(epoch.any_degraded());
-    let (_, status) = epoch.pair_with_status(4, 6);
-    assert!(matches!(status, ReadStatus::Degraded { shard: 1, .. }));
-    let (v, status) = epoch.pair_with_status(0, 1);
-    assert!(matches!(status, ReadStatus::Fresh));
-    assert!(v.is_finite());
-    // Fresh-side reads and ranked reads on the degraded side stay total.
+    assert_eq!(epoch.degraded().map(|d| d.since_seq), Some(1));
+    let (v, status) = epoch.pair_with_status(4, 6);
+    assert!(matches!(status, ReadStatus::Degraded { since_seq: 1 }));
+    assert_eq!(v, before, "the degraded read is the last published one");
+    // Ids past the frozen range read 0.0 instead of panicking.
+    let (v, status) = epoch.pair_with_status(0, 99);
+    assert!(matches!(status, ReadStatus::Degraded { .. }));
+    assert_eq!(v, 0.0);
+    // Ranked reads on the degraded view stay total.
     let (ranked, _) = epoch.top_k_with_status(5, 3);
     assert!(ranked.len() <= 3);
+    let (ranked, _) = epoch.top_k_with_status(99, 3);
+    assert!(ranked.is_empty());
 }
 
 static PROP_FIXTURE: OnceLock<SweepFixture> = OnceLock::new();

@@ -1,23 +1,21 @@
-//! Conformance suite for the `incsim::serve` layer: the sharded router
-//! and the concurrent epoch wrapper must preserve the service API's
-//! answers under every [`ApplyPolicy`], across shard counts, thread
-//! counts (`INCSIM_THREADS` — CI runs this suite at 1 and 4), and
-//! concurrent publish/read interleavings.
+//! Conformance suite for the `incsim::serve` layer: the write path and
+//! the concurrent epoch wrapper must preserve the service API's answers
+//! under every [`ApplyPolicy`], across thread counts (`INCSIM_THREADS` —
+//! CI runs this suite at 1 and 4), and concurrent publish/read
+//! interleavings.
 //!
-//! Exactness is asserted on **component-aligned** workloads (each
-//! weakly-connected component inside one shard's block — the router's
-//! documented exact regime); structural properties (pair symmetry,
-//! absent-node handling, epoch coherence) are asserted on general
-//! workloads too.
+//! Exactness (≤ 1e-12 of batch recomputation) is asserted on general
+//! ER graphs; structural properties (pair symmetry, epoch coherence) are
+//! asserted alongside.
 
 use incsim::api::{ApplyPolicy, EngineKind, SimRankBuilder};
 use incsim::core::{batch_simrank, SimRankConfig};
-use incsim::datagen::er::{erdos_renyi, erdos_renyi_blocks};
+use incsim::datagen::er::erdos_renyi;
 use incsim::datagen::updates::random_toggles_in;
 use incsim::graph::{DiGraph, UpdateOp};
-use incsim::serve::{serve_threads, ConcurrentSimRank, ShardPartition};
+use incsim::serve::{serve_threads, ConcurrentSimRank};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const POLICIES: [ApplyPolicy; 4] = [
     ApplyPolicy::Eager,
@@ -31,36 +29,16 @@ fn tight() -> SimRankConfig {
     SimRankConfig::new(0.6, 60).expect("valid config")
 }
 
-/// A component-aligned graph (see [`ShardPartition`] and the serve
-/// module's exactness contract): `shards` disjoint ER components, one
-/// per contiguous block.
-fn component_aligned_graph(shards: usize, per: usize, seed: u64) -> DiGraph {
+/// A general ER graph on `n` nodes with `2n` edges.
+fn er_graph(n: usize, seed: u64) -> DiGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    erdos_renyi_blocks(shards, per, per * 2, &mut rng)
+    erdos_renyi(n, n * 2, &mut rng)
 }
 
-/// A valid update stream whose ops all stay inside one component block
-/// (block chosen at random per op).
-fn intra_block_stream(
-    g: &DiGraph,
-    shards: usize,
-    per: usize,
-    len: usize,
-    seed: u64,
-) -> Vec<UpdateOp> {
+/// A valid stream of `len` edge toggles anywhere in `g`.
+fn toggle_stream(g: &DiGraph, len: usize, seed: u64) -> Vec<UpdateOp> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut shadow = g.clone();
-    let mut ops = Vec::new();
-    for _ in 0..len {
-        let base = (rng.gen_range(0..shards) * per) as u32;
-        ops.extend(random_toggles_in(
-            &mut shadow,
-            base..base + per as u32,
-            1,
-            &mut rng,
-        ));
-    }
-    ops
+    random_toggles_in(&mut g.clone(), 0..g.node_count() as u32, len, &mut rng)
 }
 
 /// Alternate unit updates and batches, as the api conformance suite does.
@@ -76,12 +54,10 @@ fn schedule(len: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 #[test]
-fn sharded_router_is_exact_on_component_aligned_workloads() {
-    const SHARDS: usize = 3;
-    const PER: usize = 6;
-    let g = component_aligned_graph(SHARDS, PER, 0xA11);
+fn serving_handle_is_exact_on_general_graphs() {
+    let g = er_graph(18, 0xA11);
     let cfg = tight();
-    let ops = intra_block_stream(&g, SHARDS, PER, 9, 0xB22);
+    let ops = toggle_stream(&g, 9, 0xB22);
     let n = g.node_count() as u32;
 
     // Per-service-call ground truth from scratch.
@@ -95,24 +71,23 @@ fn sharded_router_is_exact_on_component_aligned_workloads() {
     }
 
     for policy in POLICIES {
-        let mut sharded = SimRankBuilder::new()
+        let mut handle = SimRankBuilder::new()
             .algorithm(EngineKind::IncSr)
             .mode(policy)
             .config(cfg)
-            .shards(SHARDS)
             .build_sharded(g.clone())
-            .expect("router builds");
+            .expect("handle builds");
         for (step, range) in schedule(ops.len()).into_iter().enumerate() {
             let chunk = &ops[range];
             if chunk.len() == 1 {
-                sharded.update(chunk[0]).expect("stream valid");
+                handle.update(chunk[0]).expect("stream valid");
             } else {
-                sharded.update_batch(chunk).expect("stream valid");
+                handle.update_batch(chunk).expect("stream valid");
             }
             let expect = &refs[step];
             for a in 0..n {
                 for b in 0..n {
-                    let got = sharded.pair(a, b);
+                    let got = handle.pair(a, b);
                     let want = expect.get(a as usize, b as usize);
                     assert!(
                         (got - want).abs() <= 1e-12,
@@ -123,23 +98,20 @@ fn sharded_router_is_exact_on_component_aligned_workloads() {
                 }
             }
         }
-        assert_eq!(sharded.graph(), &shadow, "{policy:?}: graph drift");
+        assert_eq!(handle.graph(), &shadow, "{policy:?}: graph drift");
     }
 }
 
 #[test]
 fn concurrent_epochs_are_exact_through_publish() {
-    const SHARDS: usize = 2;
-    const PER: usize = 6;
-    let g = component_aligned_graph(SHARDS, PER, 0xC33);
+    let g = er_graph(12, 0xC33);
     let cfg = tight();
-    let ops = intra_block_stream(&g, SHARDS, PER, 6, 0xD44);
+    let ops = toggle_stream(&g, 6, 0xD44);
     let n = g.node_count() as u32;
 
     let mut serving = SimRankBuilder::new()
         .mode(ApplyPolicy::Lazy) // epochs must compose pending Δ too
         .config(cfg)
-        .shards(SHARDS)
         .concurrent(g.clone())
         .expect("serving handle builds");
     let reader = serving.reader();
@@ -170,20 +142,17 @@ fn concurrent_epochs_are_exact_through_publish() {
 /// no flush, through several update→compress→publish rounds.
 #[test]
 fn epoch_from_compressed_window_matches_truth() {
-    const SHARDS: usize = 2;
-    const PER: usize = 6;
-    let g = component_aligned_graph(SHARDS, PER, 0xC99);
+    let g = er_graph(12, 0xC99);
     let cfg = tight();
-    let ops = intra_block_stream(&g, SHARDS, PER, 8, 0xDAA);
+    let ops = toggle_stream(&g, 8, 0xDAA);
     let n = g.node_count() as u32;
 
     let mut serving = SimRankBuilder::new()
         .mode(ApplyPolicy::Lazy)
-        // A threshold below one update's K+1 terms: every later update
-        // recompresses the shard it lands on before applying.
+        // A threshold below one update's K+1 terms: later updates
+        // recompress the window before applying.
         .compress_at_rank(8)
         .config(cfg)
-        .shards(SHARDS)
         .concurrent(g.clone())
         .expect("serving handle builds");
     let reader = serving.reader();
@@ -216,84 +185,37 @@ fn epoch_from_compressed_window_matches_truth() {
     assert_eq!(total.rank_cap_flushes, 0, "no window was materialised");
     assert!(
         serving.sharded().pending_rank() > 0,
-        "the lazy windows are still open after the last publish"
+        "the lazy window is still open after the last publish"
     );
     assert!(serving.sharded().pending_heap_bytes() > 0);
 }
 
 #[test]
 fn cross_shard_pair_queries_are_symmetric_on_general_graphs() {
-    // One well-connected ER graph: components straddle shards, so this is
-    // the *approximate* regime — symmetry must still hold bit-for-bit
-    // because both argument orders route to the same shard.
+    // One well-connected ER graph under a toggle batch: symmetry must
+    // hold bit-for-bit because both argument orders read the same
+    // canonical `(min, max)` entry, live and through an epoch.
     let mut rng = StdRng::seed_from_u64(0xE55);
     let g = erdos_renyi(20, 60, &mut rng);
-    let mut sharded = SimRankBuilder::new()
+    let mut serving = SimRankBuilder::new()
         .config(SimRankConfig::new(0.6, 20).expect("valid"))
-        .shards(3)
-        .build_sharded(g)
-        .expect("router builds");
-    let ops = random_toggles_in(&mut sharded.graph().clone(), 0..20, 8, &mut rng);
-    sharded.update_batch(&ops).expect("stream valid");
-    let part = *sharded.partition();
-    let mut crossed = 0usize;
+        .concurrent(g)
+        .expect("handle builds");
+    let ops = random_toggles_in(&mut serving.sharded().graph().clone(), 0..20, 8, &mut rng);
+    serving.update_batch(&ops).expect("stream valid");
+    serving.publish();
+    let epoch = serving.reader().epoch();
     for a in 0..20u32 {
         for b in 0..20u32 {
-            let ab = sharded.pair(a, b);
-            let ba = sharded.pair(b, a);
+            let ab = serving.sharded().pair(a, b);
+            let ba = serving.sharded().pair(b, a);
             assert!(
                 ab == ba,
-                "pair symmetry broke across shards: s({a},{b})={ab} vs s({b},{a})={ba}"
+                "pair symmetry broke: s({a},{b})={ab} vs s({b},{a})={ba}"
             );
-            if part.owner(a) != part.owner(b) {
-                crossed += 1;
-            }
+            assert!(epoch.pair(a, b) == ab, "epoch read of ({a},{b}) drifted");
+            assert!(epoch.pair(b, a) == ab, "epoch read of ({b},{a}) drifted");
         }
-    }
-    assert!(crossed > 0, "workload never crossed shards");
-}
-
-#[test]
-fn more_shards_than_nodes_still_serves() {
-    let g = DiGraph::from_edges(3, &[(1, 0), (2, 0)]);
-    let cfg = tight();
-    let mut sharded = SimRankBuilder::new()
-        .config(cfg)
-        .shards(8)
-        .build_sharded(g)
-        .expect("router builds");
-    assert_eq!(sharded.shard_count(), 8);
-    // Every update touches node 0, so shard 0 (which answers pair(0, ·))
-    // sees the full stream and stays globally exact.
-    sharded.insert(0, 1).expect("valid");
-    sharded.insert(0, 2).expect("valid");
-    sharded.remove(1, 0).expect("valid");
-    let truth = batch_simrank(sharded.graph(), sharded.config());
-    for b in 0..3u32 {
-        let got = sharded.pair(0, b);
-        assert!(
-            (got - truth.get(0, b as usize)).abs() <= 1e-12,
-            "pair (0,{b})"
-        );
-        assert_eq!(sharded.pair(b, 0), got);
-    }
-    assert!(sharded.try_pair(0, 3).is_none(), "absent node");
-    assert!(sharded.try_top_k(7, 2).is_none());
-    assert_eq!(sharded.top_k(0, 10).len(), 2, "k clamps to n-1 candidates");
-}
-
-#[test]
-fn partition_owner_is_total_and_consistent() {
-    for (n, shards) in [(1usize, 1usize), (5, 2), (16, 4), (3, 9), (100, 7)] {
-        let p = ShardPartition::new(n, shards);
-        for v in 0..(n as u32 + 4) {
-            let o = p.owner(v);
-            assert!(o < p.shard_count());
-            assert_eq!(p.pair_owner(v, v + 1), p.pair_owner(v + 1, v));
-        }
-        // Ownership blocks are contiguous and non-decreasing.
-        let owners: Vec<usize> = (0..n as u32).map(|v| p.owner(v)).collect();
-        assert!(owners.windows(2).all(|w| w[0] <= w[1]));
     }
 }
 
@@ -303,20 +225,17 @@ fn partition_owner_is_total_and_consistent() {
 /// sequence number — a reader observing a mix of two epochs would miss.
 #[test]
 fn readers_never_observe_a_torn_epoch() {
-    const SHARDS: usize = 2;
-    const PER: usize = 5;
     const STEPS: usize = 12;
-    let g = component_aligned_graph(SHARDS, PER, 0xF66);
+    let g = er_graph(10, 0xF66);
     let cfg = SimRankConfig::new(0.6, 20).expect("valid");
-    let ops = intra_block_stream(&g, SHARDS, PER, STEPS, 0xA77);
-    let n = (SHARDS * PER) as u32;
+    let ops = toggle_stream(&g, STEPS, 0xA77);
+    let n = g.node_count() as u32;
     let probes: Vec<(u32, u32)> = (0..n).flat_map(|a| [(a, (a + 1) % n), (a, 0)]).collect();
 
     let build = || {
         SimRankBuilder::new()
             .mode(ApplyPolicy::Fused)
             .config(cfg)
-            .shards(SHARDS)
             .concurrent(g.clone())
             .expect("serving handle builds")
     };
@@ -390,27 +309,21 @@ fn readers_never_observe_a_torn_epoch() {
 
 #[test]
 fn counters_aggregate_through_the_serving_stack() {
-    let g = component_aligned_graph(2, 5, 0xB88);
+    let g = er_graph(10, 0xB88);
     let mut serving = SimRankBuilder::new()
         .mode(ApplyPolicy::Fused)
         .config(SimRankConfig::new(0.6, 10).expect("valid"))
-        .shards(2)
-        .concurrent(g)
+        .concurrent(g.clone())
         .expect("serving handle builds");
-    serving.insert(0, 1).expect("valid");
-    serving.insert(0, 6).expect("valid"); // cross-shard: applied twice
+    for op in toggle_stream(&g, 2, 0xB89) {
+        serving.update(op).expect("valid");
+    }
     serving.sharded().pair(0, 1);
     serving.sharded().pair(6, 7);
-    let per = serving.sharded().shard_counters();
-    let total = serving.sharded().counters();
-    assert_eq!(per.len(), 2);
-    assert_eq!(
-        total.fused_updates,
-        per.iter().map(|c| c.fused_updates).sum::<usize>()
-    );
-    assert_eq!(
-        total.fused_updates, 3,
-        "cross-shard update counted per shard"
-    );
+    let engine = serving.sharded().engine().counters();
+    let total = serving.counters();
+    assert_eq!(total.fused_updates, engine.fused_updates);
+    assert_eq!(total.fused_updates, 2, "one fused apply per update");
     assert_eq!(total.queries, 2);
+    assert_eq!(total.epochs_retained, 0, "retention is off by default");
 }
