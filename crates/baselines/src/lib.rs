@@ -13,23 +13,19 @@
 //!   §IV of the paper proves this update *inherently approximate* whenever
 //!   `rank(Q) < n` (it assumes `U·Uᵀ = I`); this implementation reproduces
 //!   the flaw faithfully, and the paper's Examples 2–3 are regression tests.
-//! * [`recompute`] — the paper's **Batch** comparator as an engine:
-//!   rerun matrix-form batch SimRank from scratch after every link update.
-//!   Exact by construction; the cost every incremental speedup is
-//!   measured against.
 //!
-//! The Inc-SVD and batch-recompute engines implement the same
+//! [`IncSvd`] implements the same
 //! [`SimRankMaintainer`](incsim_core::SimRankMaintainer) interface as the
-//! paper's own algorithms so the experiment harness and the `incsim::api`
-//! service layer can swap engines.
+//! paper's own algorithms, so the experiment harness drives every engine
+//! through one code path. The serving layer (`incsim::api`) serves only
+//! Inc-SR and the matrix-free Probe engine; the figure benches and the
+//! consistency tests build these baselines directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod incsvd;
 pub mod naive;
-pub mod recompute;
 
 pub use incsvd::{svd_simrank, IncSvd, IncSvdError, IncSvdOptions};
 pub use naive::{naive_simrank, partial_sums_simrank};
-pub use recompute::BatchRecompute;

@@ -11,7 +11,7 @@ use incsim::api::{ApplyPolicy, EngineKind, SimRank, SimRankBuilder};
 use incsim::serve::{drive_load, ConcurrentSimRank, HistoryStatus, LoadOptions, ShardedSimRank};
 use incsim::wal::{frame_kinds, FrameKind, FRAME_HEADER};
 use incsim_core::{
-    batch_simrank, ApplyMode, GraphSink, IncUSr, MatrixAccess, ProbeOptions, SimRankConfig,
+    batch_simrank, ApplyMode, GraphSink, IncSr, IncUSr, MatrixAccess, ProbeOptions, SimRankConfig,
 };
 use incsim_datagen::er::{erdos_renyi, erdos_renyi_blocks};
 use incsim_datagen::updates::{random_insertions, random_toggles_blocks};
@@ -179,9 +179,9 @@ fn calibrate_update_envelope(cfg: SimRankConfig) -> f64 {
     let g = erdos_renyi(n, 6 * n, &mut rng);
     let (i, j) = g.edges().next().expect("graph has edges");
     let s0 = batch_simrank(&g, &cfg);
-    let mut direct = IncUSr::new(g.clone(), s0.clone(), cfg).with_mode(ApplyMode::Fused);
+    let mut direct = IncSr::new(g.clone(), s0.clone(), cfg).with_mode(ApplyMode::Fused);
     let mut service = SimRankBuilder::new()
-        .algorithm(EngineKind::IncUSr)
+        .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Fused)
         .config(cfg)
         .with_scores(g, s0)
@@ -219,7 +219,7 @@ fn calibrate_update_envelope(cfg: SimRankConfig) -> f64 {
 
 /// Measures the end-to-end serving workload — `cap` unit insertions, each
 /// followed by `queries_per_update` pair queries — against a concrete
-/// [`IncUSr`] in fused mode and through the [`SimRankBuilder`] service
+/// [`IncSr`] in fused mode and through the [`SimRankBuilder`] service
 /// handle configured identically. Both engines replay the *same* stream
 /// from the same precomputed scores, and the two timers are interleaved
 /// per update (direct step, then service step) so clock drift, frequency
@@ -237,12 +237,12 @@ pub fn measure_service_overhead(n: usize, k_iters: usize, cap: usize) -> Service
     let probe = |t: usize| -> (u32, u32) { (((t * 131) % n) as u32, ((t * 197 + 13) % n) as u32) };
 
     let mut service = SimRankBuilder::new()
-        .algorithm(EngineKind::IncUSr)
+        .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Fused)
         .config(cfg)
         .with_scores(g.clone(), s0.clone())
         .expect("engine constructs");
-    let mut direct = IncUSr::new(g, s0, cfg).with_mode(ApplyMode::Fused);
+    let mut direct = IncSr::new(g, s0, cfg).with_mode(ApplyMode::Fused);
 
     let (&warmup, measured) = stream.split_first().expect("cap >= 1");
     direct.apply(warmup).expect("stream valid");
@@ -253,7 +253,7 @@ pub fn measure_service_overhead(n: usize, k_iters: usize, cap: usize) -> Service
     let mut step_times: Vec<f64> = Vec::with_capacity(measured.len());
     let mut acc = 0.0f64;
     fn direct_step(
-        direct: &mut IncUSr,
+        direct: &mut IncSr,
         op: incsim_graph::UpdateOp,
         queries: usize,
         probe: impl Fn(usize) -> (u32, u32),
@@ -477,7 +477,7 @@ pub fn measure_concurrent_throughput(
     let s0 = batch_simrank(&g, &cfg);
     let builder = |policy: ApplyPolicy| {
         SimRankBuilder::new()
-            .algorithm(EngineKind::IncUSr)
+            .algorithm(EngineKind::IncSr)
             .mode(policy)
             .config(cfg)
     };
@@ -615,7 +615,7 @@ pub fn measure_long_lazy_window(n: usize, k_iters: usize, window: usize) -> Long
 
     let build = |compress: bool| -> SimRank {
         let b = SimRankBuilder::new()
-            .algorithm(EngineKind::IncUSr)
+            .algorithm(EngineKind::IncSr)
             .mode(ApplyPolicy::Lazy)
             .config(cfg)
             // Never materialise inside the window: the point is the
@@ -666,10 +666,10 @@ pub fn measure_long_lazy_window(n: usize, k_iters: usize, window: usize) -> Long
     // Drift: materialise both windows (the only n² work in this case,
     // off the measured paths) and compare the full matrices.
     let diff = {
-        let a = plain.scores().expect("IncUSr is matrix-backed").clone();
+        let a = plain.scores().expect("Inc-SR is matrix-backed").clone();
         compressed
             .scores()
-            .expect("IncUSr is matrix-backed")
+            .expect("Inc-SR is matrix-backed")
             .max_abs_diff(&a)
     };
 
@@ -829,7 +829,7 @@ pub fn measure_wal_overhead(n: usize, k_iters: usize, cap: usize) -> WalOverhead
     let path = std::env::temp_dir().join(format!("incsim_bench_wal_{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let base = SimRankBuilder::new()
-        .algorithm(EngineKind::IncUSr)
+        .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Fused)
         .config(cfg);
     let mut plain =
@@ -957,7 +957,7 @@ pub fn measure_epoch_ring(
     let stream = random_insertions(&g, publishes * ops_per_epoch, &mut rng);
 
     let builder = SimRankBuilder::new()
-        .algorithm(EngineKind::IncUSr)
+        .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Fused)
         .config(cfg)
         .retain_epochs(retain);
@@ -1128,7 +1128,7 @@ pub fn measure_epoch_recovery(
     // an early part-full ring.
     let durable = |retain_epochs: usize| {
         SimRankBuilder::new()
-            .algorithm(EngineKind::IncUSr)
+            .algorithm(EngineKind::IncSr)
             .mode(ApplyPolicy::Fused)
             .config(cfg)
             .retain_epochs(retain_epochs)

@@ -75,7 +75,6 @@ pub mod probe;
 pub mod query;
 pub mod rankone;
 pub mod snapshot;
-pub mod topk_tracker;
 
 pub use batch::{batch_simrank, batch_simrank_detailed, BatchOptions, BatchResult};
 pub use grouped::{group_by_row, GroupedStats, RowChange};

@@ -122,7 +122,7 @@ impl<'a> ScoreView<'a> {
     }
 
     /// The base matrix (excluding Δ). For consumers that need raw rows and
-    /// handle the deferred part themselves (e.g. the top-k tracker).
+    /// handle the deferred part themselves.
     pub fn base(&self) -> &'a DenseMatrix {
         self.base
     }

@@ -1,14 +1,13 @@
 //! A production-shaped pipeline: maintain SimRank over a timestamped edge
-//! timeline, keep an incrementally-repaired top-k ranking, and checkpoint
-//! the service state across a simulated restart.
+//! timeline, rank the most similar pairs at the end of each day, and
+//! checkpoint the service state across a simulated restart.
 //!
 //! ```bash
 //! cargo run --release --example checkpoint_pipeline
 //! ```
 
 use incsim::api::{ApplyPolicy, EngineKind, SimRankBuilder};
-use incsim::core::topk_tracker::TopKTracker;
-use incsim::core::SimRankConfig;
+use incsim::core::{batch_simrank, SimRankConfig};
 use incsim::datagen::linkage::{linkage_model, LinkageParams};
 use incsim::metrics::timing::{fmt_bytes, Stopwatch};
 use rand::rngs::StdRng;
@@ -28,40 +27,38 @@ fn main() {
     // Day 0: batch-compute on the first 300 arrivals.
     let base = timeline.snapshot_at(300);
     let cfg = SimRankConfig::new(0.6, 15).expect("valid parameters");
-    // Lazy policy: updates buffer their ΔS factors, so the top-k tracker
-    // below can discover exactly which rows changed from the pending-Δ
-    // support — no engine-specific affected-area plumbing needed. (Under
-    // eager/fused the delta is already materialised when we repair, so
-    // the tracker would need explicit touched rows from the engine layer.)
+    // Lazy policy: updates buffer their ΔS factors; the daily ranking
+    // below reads them through the view and never flushes the buffer.
     let mut sim = SimRankBuilder::new()
         .algorithm(EngineKind::IncSr)
         .mode(ApplyPolicy::Lazy)
         .config(cfg)
         .from_graph(base)
         .expect("engine constructs");
-    let mut topk = TopKTracker::new(sim.view().expect("dense engine").base(), 8);
+    // The top pairs of the current scores: a full scan of the view, which
+    // composes S_base + Δ, so a rank-cap flush never changes what it reads.
+    let top_pairs = |sim: &incsim::api::SimRank| {
+        incsim::metrics::top_k_pairs(&sim.view().expect("dense engine").materialise(), 8)
+    };
+    let mut topk = top_pairs(&sim);
     println!(
         "day 0: {} edges, top pair = ({}, {}) @ {:.4}",
         sim.graph().edge_count(),
-        topk.entries()[0].a,
-        topk.entries()[0].b,
-        topk.entries()[0].score
+        topk[0].a,
+        topk[0].b,
+        topk[0].score
     );
 
-    // Days 1..5: replay arrivals incrementally, repairing top-k through
-    // the mode-agnostic view: `update_view` rescans the pending-ΔS
-    // support rows itself, and values are identical before and after any
-    // rank-cap flush (the view composes S_base + Δ), so the repair stays
-    // exact across the whole lazy window.
+    // Days 1..5: replay arrivals incrementally, ranking at each day's end.
     let sw = Stopwatch::start();
     for day in 1..=5u64 {
         let (t0, t1) = (290 + day * 10, 300 + day * 10);
         let ops = timeline.updates_between(t0, t1);
         for op in &ops {
             sim.update(*op).expect("timeline stream is valid");
-            topk.update_view(&sim.view().expect("dense engine"), &[]);
         }
-        let best = topk.entries()[0];
+        topk = top_pairs(&sim);
+        let best = topk[0];
         println!(
             "day {day}: +{} links, top pair = ({}, {}) @ {:.4}",
             ops.len(),
@@ -76,15 +73,15 @@ fn main() {
         "policy routing: {} eager / {} fused / {} lazy updates, {} rank-cap flushes, {} queries",
         c.eager_updates, c.fused_updates, c.lazy_updates, c.rank_cap_flushes, c.queries
     );
-    // The locally-repaired ranking matches a from-scratch scan of the
-    // effective (base + pending Δ) scores.
-    let full = incsim::metrics::top_k_pairs(&sim.view().expect("dense engine").materialise(), 8);
+    // The incrementally-maintained ranking matches a from-scratch batch
+    // recomputation on the same graph.
+    let full = incsim::metrics::top_k_pairs(&batch_simrank(sim.graph(), &cfg), 8);
     assert_eq!(
-        topk.entries()[0].a,
-        full[0].a,
-        "tracker diverged from full scan"
+        (topk[0].a, topk[0].b),
+        (full[0].a, full[0].b),
+        "maintained ranking diverged from batch recomputation"
     );
-    assert_eq!(topk.entries()[0].b, full[0].b);
+    assert!((topk[0].score - full[0].score).abs() < 1e-9);
 
     // Nightly checkpoint …
     let mut checkpoint = Vec::new();

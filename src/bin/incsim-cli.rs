@@ -55,7 +55,7 @@ commands:
              --input FILE [--c 0.6] [--iters 15] -o STATE
   update     apply link updates to a maintained state
              --state STATE --ops FILE -o STATE_OUT
-             [--algorithm incsr|incusr|incsvd|naive] [--mode auto|eager|fused|lazy]
+             [--algorithm incsr] [--mode auto|eager|fused|lazy]
              [--compress-at-rank R] [--compress-tol T] [--grouped true]
              (probe is matrix-free and cannot write state files; use it in serve)
   topk       print the top-k most similar pairs
@@ -66,21 +66,21 @@ commands:
              --state STATE [--readers R] [--duration-ms D]
              [--batch B] [--publish-every P] [--retain-epochs E]
              [--wal FILE] [--checkpoint-every N]
-             [--algorithm incsr|incusr|incsvd|naive|probe] [--mode auto|eager|fused|lazy]
+             [--algorithm incsr|probe] [--mode auto|eager|fused|lazy]
              [--compress-at-rank R] [--compress-tol T]
              (--wal with --retain-epochs > 1 restores the epoch ring on restart)
   epochs     list the retained epoch ring (driven or recovered)
              (--state STATE --ops FILE | --wal FILE) [--retain-epochs E]
              [--publish-every P]
-             [--algorithm incsr|incusr|incsvd|naive|probe]
+             [--algorithm incsr|probe]
              [--mode auto|eager|fused|lazy]
   diff       top score movers between two retained epochs (time-travel diff)
              (--state STATE --ops FILE | --wal FILE) [--e1 SEQ] [--e2 SEQ]
              [-k 10] [--retain-epochs E] [--publish-every P]
-             [--algorithm incsr|incusr|incsvd|naive] [--mode auto|eager|fused|lazy]
+             [--algorithm incsr] [--mode auto|eager|fused|lazy]
   recover    rebuild a state file from a write-ahead log (checkpoint + replay)
              --wal FILE -o STATE [--retain-epochs E]
-             [--algorithm incsr|incusr|incsvd|naive] [--mode auto|eager|fused|lazy]
+             [--algorithm incsr] [--mode auto|eager|fused|lazy]
              (--retain-epochs > 1 additionally reports the persisted epoch ring)
   wal-fault  damage a copy of a write-ahead log (fault-injection harness)
              --wal FILE -o FILE --fault torn|flip|crc|short|random
@@ -254,13 +254,8 @@ fn parse_ops(text: &str) -> Result<Vec<UpdateOp>, String> {
 fn parse_algorithm(raw: Option<&str>) -> Result<EngineKind, String> {
     match raw.unwrap_or("incsr") {
         "incsr" => Ok(EngineKind::IncSr),
-        "incusr" => Ok(EngineKind::IncUSr),
-        "incsvd" => Ok(EngineKind::IncSvd),
-        "naive" | "batch" => Ok(EngineKind::Naive),
         "probe" => Ok(EngineKind::Probe),
-        other => Err(format!(
-            "unknown algorithm {other:?} (incsr|incusr|incsvd|naive|probe)"
-        )),
+        other => Err(format!("unknown algorithm {other:?} (incsr|probe)")),
     }
 }
 
@@ -328,9 +323,6 @@ fn cmd_update(flags: &Flags) -> Result<(), String> {
         // Row-grouped folding is an Inc-SR-specific extension; it bypasses
         // the engine-agnostic service handle by design — reject flags it
         // would silently ignore.
-        if flags.get(&["--algorithm"]).is_some_and(|a| a != "incsr") {
-            return Err("--grouped is Inc-SR-specific; drop --algorithm or set it to incsr".into());
-        }
         if flags.get(&["--mode"]).is_some() {
             return Err("--grouped applies its own flush schedule; drop --mode".into());
         }
@@ -892,21 +884,18 @@ mod tests {
     fn algorithm_and_mode_flags_parse() {
         assert!(matches!(parse_algorithm(None), Ok(EngineKind::IncSr)));
         assert!(matches!(
-            parse_algorithm(Some("incusr")),
-            Ok(EngineKind::IncUSr)
-        ));
-        assert!(matches!(
-            parse_algorithm(Some("naive")),
-            Ok(EngineKind::Naive)
+            parse_algorithm(Some("incsr")),
+            Ok(EngineKind::IncSr)
         ));
         assert!(matches!(
             parse_algorithm(Some("probe")),
             Ok(EngineKind::Probe)
         ));
-        // Failure must enumerate every valid engine so users can self-correct.
-        let err = parse_algorithm(Some("bogus")).unwrap_err();
-        for kind in ["incsr", "incusr", "incsvd", "naive", "probe"] {
-            assert!(err.contains(kind), "algorithm error {err:?} omits {kind}");
+        // Failure must enumerate every valid engine so users can self-correct;
+        // the paper's baselines are not served, so their names fail too.
+        for bad in ["bogus", "incusr", "incsvd", "naive", "batch"] {
+            let err = parse_algorithm(Some(bad)).unwrap_err();
+            assert!(err.contains("(incsr|probe)"), "algorithm error {err:?}");
         }
         assert!(matches!(parse_mode(None), Ok(ApplyPolicy::Auto)));
         assert!(matches!(parse_mode(Some("lazy")), Ok(ApplyPolicy::Lazy)));
@@ -1052,7 +1041,7 @@ mod tests {
             out_path.to_str().unwrap(),
         ];
         let mut with_algo = base.to_vec();
-        with_algo.extend(["--algorithm", "naive"]);
+        with_algo.extend(["--algorithm", "probe"]);
         assert!(run(&to_args(&with_algo)).is_err());
         let mut with_mode = base.to_vec();
         with_mode.extend(["--mode", "lazy"]);

@@ -49,14 +49,14 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`api`] | `incsim` (this crate) | the service layer: builder, handle, apply policies |
+//! | [`api`] | `incsim` (this crate) | the service layer: builder, handle over Inc-SR or Probe, apply policies |
 //! | [`serve`] | `incsim` (this crate) | the serving layer: one engine behind a durable write path, concurrent epoch reads |
 //! | [`wal`] | `incsim` (this crate) | durability: write-ahead log, crash recovery, fault injection |
 //! | [`codec`] | `incsim-codec` | shared binary codec: CRC32 framing, LE/varint primitives, record envelopes |
 //! | [`linalg`] | `incsim-linalg` | dense/sparse matrices, QR, SVD, LU, Stein solver |
 //! | [`graph`] | `incsim-graph` | dynamic digraph, evolving timeline, I/O |
-//! | [`core`] | `incsim-core` | matrix-form SimRank, **Inc-uSR**, **Inc-SR** |
-//! | [`baselines`] | `incsim-baselines` | naive/partial-sums SimRank, **Inc-SVD** (Li et al.), batch recompute |
+//! | [`core`] | `incsim-core` | matrix-form SimRank, **Inc-uSR**, **Inc-SR**, the matrix-free Probe engine |
+//! | [`baselines`] | `incsim-baselines` | naive/partial-sums SimRank, **Inc-SVD** (Li et al.) |
 //! | [`datagen`] | `incsim-datagen` | synthetic graphs, dataset presets, update streams |
 //! | [`metrics`] | `incsim-metrics` | NDCG@k, error norms, timing/memory accounting |
 

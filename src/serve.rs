@@ -422,13 +422,12 @@ pub struct ShardedSimRank {
 }
 
 impl ShardedSimRank {
-    /// Builds the handle from a builder, a graph, and pre-computed scores
-    /// ([`EngineKind::IncSvd`] derives its own factorisation as usual, and
-    /// matrix-free kinds ignore the matrix — prefer
+    /// Builds the handle from a builder, a graph, and pre-computed scores.
+    /// The matrix-free [`EngineKind::Probe`] ignores the matrix — prefer
     /// [`SimRankBuilder::build_sharded`](crate::api::SimRankBuilder::build_sharded)
-    /// for those, which never allocates it in the first place).
+    /// for it, which never allocates one in the first place.
     ///
-    /// [`EngineKind::IncSvd`]: crate::api::EngineKind::IncSvd
+    /// [`EngineKind::Probe`]: crate::api::EngineKind::Probe
     pub fn with_scores(
         builder: SimRankBuilder,
         graph: DiGraph,

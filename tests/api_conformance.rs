@@ -1,26 +1,22 @@
-//! Dyn-object conformance suite for the `incsim::api` service layer: every
-//! [`EngineKind`] is driven through one random ER and one random R-MAT
-//! update stream behind `Box<dyn SimRankMaintainer>` (inside a [`SimRank`]
-//! handle), under **every** [`ApplyPolicy`] — and must give the same
-//! answers.
-//!
-//! * The exact engines (Inc-SR, Inc-uSR, Batch) are checked against a
-//!   from-scratch batch recomputation after *every* update — pair queries,
-//!   top-k, and the final materialised matrix all within 1e-12.
-//! * Inc-SVD is *inherently approximate* whenever `rank(Q) < n` (§IV of
-//!   the paper proves its factor update loses eigen-information), so
-//!   batch recomputation is not its ground truth. Its conformance
-//!   contract is policy-invariance: all four policies must reproduce its
-//!   own eager trajectory within 1e-12, with views never stale.
+//! Dyn-object conformance suite for the `incsim::api` service layer. The
+//! served dense engine, Inc-SR, is driven through one random ER and one
+//! random R-MAT update stream behind `Box<dyn SimRankMaintainer>` (inside
+//! a [`SimRank`] handle), under **every** [`ApplyPolicy`], and checked
+//! against a from-scratch batch recomputation after *every* update: pair
+//! queries, top-k, and the final materialised matrix all within 1e-12.
+//! The matrix-free Probe engine is held to batch truth within its
+//! sampling tolerance.
 //!
 //! A snapshot shares its engine's base matrix until the engine's next
 //! write (copy-on-write). The tests at the end pin that contract for
-//! every dense engine under every policy: a snapshot never moves when
-//! the engine mutates, it keeps sharing through every call with nothing
-//! to write, and the first write ends the sharing.
+//! Inc-SR under every policy: a snapshot never moves when the engine
+//! mutates, it keeps sharing through every call with nothing to write,
+//! and the first write ends the sharing. Inc-uSR and Inc-SVD are not
+//! served, but they share their buffer the same way, so their snapshot
+//! isolation is checked on the bare engines.
 
 use incsim::api::{ApplyPolicy, EngineKind, SimRank, SimRankBuilder};
-use incsim::baselines::IncSvdOptions;
+use incsim::baselines::{IncSvd, IncSvdOptions};
 use incsim::core::{
     batch_simrank, ApplyMode, GraphSink, IncSr, IncUSr, MatrixAccess, ProbeOptions, ScoreSnapshot,
     SimRankConfig,
@@ -69,19 +65,11 @@ fn stream_on(g: &DiGraph, len: usize, seed: u64) -> Vec<UpdateOp> {
     ops
 }
 
-fn build(kind: EngineKind, policy: ApplyPolicy, g: &DiGraph, s0: &DenseMatrix) -> SimRank {
-    let mut builder = SimRankBuilder::new()
-        .algorithm(kind)
+fn build(policy: ApplyPolicy, g: &DiGraph, s0: &DenseMatrix) -> SimRank {
+    SimRankBuilder::new()
+        .algorithm(EngineKind::IncSr)
         .mode(policy)
-        .config(tight());
-    if kind == EngineKind::IncSvd {
-        builder = builder.svd_options(IncSvdOptions {
-            rank: g.node_count(),
-            randomized: false,
-            ..Default::default()
-        });
-    }
-    builder
+        .config(tight())
         .with_scores(g.clone(), s0.clone())
         .expect("engine constructs")
 }
@@ -149,7 +137,7 @@ fn drive(
         }
     }
     assert_eq!(sim.graph(), &shadow, "{ctx}: graph drift");
-    sim.scores().expect("dense engines under test").clone()
+    sim.scores().expect("Inc-SR is matrix-backed").clone()
 }
 
 fn conformance_on(g: DiGraph, stream_seed: u64, ctx: &str) {
@@ -168,55 +156,32 @@ fn conformance_on(g: DiGraph, stream_seed: u64, ctx: &str) {
         refs.push(batch_simrank(&shadow, &cfg));
     }
 
-    // Exact engines: ground truth is the batch recomputation.
-    for kind in [EngineKind::IncSr, EngineKind::IncUSr, EngineKind::Naive] {
-        for policy in POLICIES {
-            let mut sim = build(kind, policy, &g, &s0);
-            let ctx = format!("{ctx}/{kind:?}/{policy:?}");
-            let final_scores = drive(&mut sim, &ops, &refs, 1e-12, &ctx);
-            let diff = final_scores.max_abs_diff(refs.last().expect("nonempty"));
-            assert!(diff <= 1e-12, "{ctx}: final matrix drift {diff:.2e}");
-        }
-    }
-
-    // Inc-SVD: approximate by design; its conformance bar is that every
-    // policy reproduces its own eager trajectory bit-for-bit-ish (the
-    // engine ignores deferral, so any drift means the service layer
-    // changed its inputs).
-    let mut eager_svd = build(EngineKind::IncSvd, ApplyPolicy::Eager, &g, &s0);
-    let mut eager_steps: Vec<DenseMatrix> = Vec::new();
-    for range in schedule(ops.len()) {
-        let chunk = &ops[range];
-        if chunk.len() == 1 {
-            eager_svd.update(chunk[0]).expect("valid");
-        } else {
-            eager_svd.update_batch(chunk).expect("valid");
-        }
-        eager_steps.push(eager_svd.scores().expect("IncSvd is matrix-backed").clone());
-    }
-    for policy in [ApplyPolicy::Fused, ApplyPolicy::Lazy, ApplyPolicy::Auto] {
-        let mut sim = build(EngineKind::IncSvd, policy, &g, &s0);
-        let ctx = format!("{ctx}/IncSvd/{policy:?}");
-        drive(&mut sim, &ops, &eager_steps, 1e-12, &ctx);
+    // Ground truth is the batch recomputation, under every policy.
+    for policy in POLICIES {
+        let mut sim = build(policy, &g, &s0);
+        let ctx = format!("{ctx}/IncSr/{policy:?}");
+        let final_scores = drive(&mut sim, &ops, &refs, 1e-12, &ctx);
+        let diff = final_scores.max_abs_diff(refs.last().expect("nonempty"));
+        assert!(diff <= 1e-12, "{ctx}: final matrix drift {diff:.2e}");
     }
 }
 
 #[test]
-fn all_engines_all_policies_agree_on_er_stream() {
+fn incsr_all_policies_match_batch_on_er_stream() {
     let mut rng = StdRng::seed_from_u64(0xE7);
     let g = erdos_renyi(18, 40, &mut rng);
     conformance_on(g, 11, "ER");
 }
 
 #[test]
-fn all_engines_all_policies_agree_on_rmat_stream() {
+fn incsr_all_policies_match_batch_on_rmat_stream() {
     let mut rng = StdRng::seed_from_u64(0x77A7);
     let g = rmat(4, 36, &RmatParams::default(), &mut rng);
     conformance_on(g, 23, "R-MAT");
 }
 
 /// Probe-engine conformance: the matrix-free engine is *unbiased for the
-/// K-truncated batch scores* (same truncation `Naive` computes), so its
+/// K-truncated batch scores* (the truncation `batch_simrank` computes), so its
 /// contract is `(1 ± ε)` agreement where ε is pure sampling noise,
 /// `O(1/√R)`. With the sample counts below the documented tolerance is
 /// **ε = 0.05 absolute** on scores in `[0, 1]` — orders of magnitude
@@ -349,14 +314,6 @@ fn probe_matrix_capabilities_absent_without_panic() {
     assert!(snap.score_snapshot().is_none());
 }
 
-/// The four engines that keep a dense score matrix.
-const DENSE: [EngineKind; 4] = [
-    EngineKind::IncSr,
-    EngineKind::IncUSr,
-    EngineKind::IncSvd,
-    EngineKind::Naive,
-];
-
 /// Address of the engine's base buffer, through the public view.
 fn base_ptr(sim: &SimRank) -> *const f64 {
     sim.view().expect("dense engine").base().as_slice().as_ptr()
@@ -418,7 +375,8 @@ fn conformance_graph() -> (DiGraph, DenseMatrix) {
     (g, s0)
 }
 
-type Step = (&'static str, fn(&mut SimRank, &mut StdRng));
+/// One named mutation of a handle (or, for `E`, of a bare engine).
+type Step<E = SimRank> = (&'static str, fn(&mut E, &mut StdRng));
 
 /// Every mutating entry point of the service handle.
 const MUTATIONS: [Step; 6] = [
@@ -450,24 +408,92 @@ const MUTATIONS: [Step; 6] = [
     }),
 ];
 
+/// Every mutating entry point of a bare dense engine: the engine-level
+/// twin of [`MUTATIONS`], for the engines the service layer does not
+/// serve.
+fn engine_mutations<E: MatrixAccess + GraphSink>() -> [Step<E>; 6] {
+    [
+        ("insert_edge", |e, rng| {
+            let (u, v) = pick_pair(e.graph(), false, rng);
+            e.insert_edge(u, v).expect("absent edge inserts");
+        }),
+        ("remove_edge", |e, rng| {
+            let (u, v) = pick_pair(e.graph(), true, rng);
+            e.remove_edge(u, v).expect("present edge removes");
+        }),
+        ("apply_batch", |e, rng| {
+            let (a, b) = pick_pair(e.graph(), false, rng);
+            let (c, d) = pick_pair(e.graph(), true, rng);
+            e.apply_batch(&[UpdateOp::Insert(a, b), UpdateOp::Delete(c, d)])
+                .expect("valid batch");
+        }),
+        ("flush", |e, _| {
+            e.flush();
+        }),
+        ("mode change", |e, _| {
+            let next = if e.mode() == ApplyMode::Lazy {
+                ApplyMode::Eager
+            } else {
+                ApplyMode::Lazy
+            };
+            e.set_mode(next);
+        }),
+        ("add_node", |e, _| {
+            e.add_node();
+        }),
+    ]
+}
+
+/// Takes a snapshot before each of [`engine_mutations`] and checks the
+/// mutation leaves it unmoved.
+fn engine_snapshots_stay_frozen<E: MatrixAccess + GraphSink>(
+    mut engine: E,
+    rng: &mut StdRng,
+    ctx: &str,
+) {
+    for (name, mutate) in engine_mutations::<E>() {
+        let (u, v) = pick_pair(engine.graph(), false, rng);
+        engine.insert_edge(u, v).expect("absent edge inserts");
+        let frozen = Frozen::take(engine.snapshot_view());
+        mutate(&mut engine, rng);
+        frozen.assert_unmoved(&format!("{ctx}/{name}"));
+    }
+}
+
 #[test]
 fn snapshots_stay_frozen_through_every_mutation() {
     let (g, s0) = conformance_graph();
     let mut rng = StdRng::seed_from_u64(7);
-    for kind in DENSE {
-        for policy in POLICIES {
-            let mut sim = build(kind, policy, &g, &s0);
-            for (name, mutate) in MUTATIONS {
-                let ctx = format!("{kind:?}/{policy:?}/{name}");
-                // Leave an update pending where the policy defers, so a
-                // flush or a mode change has something to fold.
-                insert_some(&mut sim, &mut rng);
-                let frozen = Frozen::take(sim.snapshot_view().expect("dense engine"));
-                mutate(&mut sim, &mut rng);
-                frozen.assert_unmoved(&ctx);
-            }
+    for policy in POLICIES {
+        let mut sim = build(policy, &g, &s0);
+        for (name, mutate) in MUTATIONS {
+            let ctx = format!("IncSr/{policy:?}/{name}");
+            // Leave an update pending where the policy defers, so a
+            // flush or a mode change has something to fold.
+            insert_some(&mut sim, &mut rng);
+            let frozen = Frozen::take(sim.snapshot_view().expect("dense engine"));
+            mutate(&mut sim, &mut rng);
+            frozen.assert_unmoved(&ctx);
         }
     }
+
+    // The unserved dense engines, built directly: Inc-uSR in every apply
+    // mode, and Inc-SVD at lossless rank.
+    for mode in [ApplyMode::Eager, ApplyMode::Fused, ApplyMode::Lazy] {
+        let engine = IncUSr::new(g.clone(), s0.clone(), tight()).with_mode(mode);
+        engine_snapshots_stay_frozen(engine, &mut rng, &format!("Inc-uSR/{mode:?}"));
+    }
+    let svd = IncSvd::new(
+        g.clone(),
+        tight(),
+        IncSvdOptions {
+            rank: g.node_count(),
+            randomized: false,
+            ..Default::default()
+        },
+    )
+    .expect("lossless-rank Inc-SVD constructs");
+    engine_snapshots_stay_frozen(svd, &mut rng, "Inc-SVD");
 
     // Row-grouped batches exist on the two deferring engines only, as
     // inherent methods: drive them in every apply mode.
@@ -514,63 +540,61 @@ fn snapshots_stay_frozen_through_every_mutation() {
 fn snapshots_share_the_engine_buffer_until_it_writes() {
     let (g, s0) = conformance_graph();
     let mut rng = StdRng::seed_from_u64(11);
-    for kind in DENSE {
-        for policy in POLICIES {
-            let ctx = format!("{kind:?}/{policy:?}");
-            let mut sim = build(kind, policy, &g, &s0);
-            insert_some(&mut sim, &mut rng);
+    for policy in POLICIES {
+        let ctx = format!("IncSr/{policy:?}");
+        let mut sim = build(policy, &g, &s0);
+        insert_some(&mut sim, &mut rng);
 
-            // Shared right after it is taken, pending updates or not.
-            let frozen = Frozen::take(sim.snapshot_view().expect("dense engine"));
-            let shared = |sim: &SimRank| base_ptr(sim) == snap_ptr(&frozen.snap);
-            assert!(shared(&sim), "{ctx}: snapshot copied the matrix");
+        // Shared right after it is taken, pending updates or not.
+        let frozen = Frozen::take(sim.snapshot_view().expect("dense engine"));
+        let shared = |sim: &SimRank| base_ptr(sim) == snap_ptr(&frozen.snap);
+        assert!(shared(&sim), "{ctx}: snapshot copied the matrix");
 
-            // Reads never copy.
-            let _ = sim.pair(0, 1);
-            let _ = sim.single_source(2);
-            let _ = sim.top_k(3, 4);
-            let _ = sim.similar_above(4, 0.01);
-            let _ = sim.snapshot_query();
-            let _ = sim.snapshot_view();
-            let _ = (sim.pending_rank(), sim.pending_heap_bytes());
-            assert!(shared(&sim), "{ctx}: a read copied the matrix");
+        // Reads never copy.
+        let _ = sim.pair(0, 1);
+        let _ = sim.single_source(2);
+        let _ = sim.top_k(3, 4);
+        let _ = sim.similar_above(4, 0.01);
+        let _ = sim.snapshot_query();
+        let _ = sim.snapshot_view();
+        let _ = (sim.pending_rank(), sim.pending_heap_bytes());
+        assert!(shared(&sim), "{ctx}: a read copied the matrix");
 
-            // Re-asserting the current mode (what `Auto` does on every
-            // update) and recompressing pending factors never copy.
-            let m = sim.engine_mut().matrix_mut().expect("dense engine");
-            let mode = m.mode();
-            m.set_mode(mode);
-            assert!(shared(&sim), "{ctx}: set_mode(current) copied");
-            sim.compress();
-            assert!(shared(&sim), "{ctx}: compress copied");
+        // Re-asserting the current mode (what `Auto` does on every
+        // update) and recompressing pending factors never copy.
+        let m = sim.engine_mut().matrix_mut().expect("dense engine");
+        let mode = m.mode();
+        m.set_mode(mode);
+        assert!(shared(&sim), "{ctx}: set_mode(current) copied");
+        sim.compress();
+        assert!(shared(&sim), "{ctx}: compress copied");
 
-            // With nothing pending, flush, scores(), compress_pending and
-            // the checkpoint image have nothing to write either.
-            sim.flush();
-            let idle = Frozen::take(sim.snapshot_view().expect("dense engine"));
-            let idle_shared = |sim: &SimRank| base_ptr(sim) == snap_ptr(&idle.snap);
-            assert_eq!(sim.flush(), 0);
-            sim.scores().expect("dense engine");
-            sim.engine_mut()
-                .matrix_mut()
-                .expect("dense engine")
-                .compress_pending(1e-13);
-            let mut image = Vec::new();
-            sim.snapshot(&mut image).expect("dense checkpoint");
-            assert!(!image.is_empty());
-            assert!(idle_shared(&sim), "{ctx}: an idle call copied");
+        // With nothing pending, flush, scores(), compress_pending and
+        // the checkpoint image have nothing to write either.
+        sim.flush();
+        let idle = Frozen::take(sim.snapshot_view().expect("dense engine"));
+        let idle_shared = |sim: &SimRank| base_ptr(sim) == snap_ptr(&idle.snap);
+        assert_eq!(sim.flush(), 0);
+        sim.scores().expect("dense engine");
+        sim.engine_mut()
+            .matrix_mut()
+            .expect("dense engine")
+            .compress_pending(1e-13);
+        let mut image = Vec::new();
+        sim.snapshot(&mut image).expect("dense checkpoint");
+        assert!(!image.is_empty());
+        assert!(idle_shared(&sim), "{ctx}: an idle call copied");
 
-            // The first write ends the sharing; under Lazy that write is
-            // the flush that folds the pending update in.
-            insert_some(&mut sim, &mut rng);
-            if sim.pending_rank() == 0 {
-                assert!(!idle_shared(&sim), "{ctx}: write did not copy");
-            }
-            sim.flush();
-            assert!(!idle_shared(&sim), "{ctx}: flush did not copy");
-            frozen.assert_unmoved(&ctx);
-            idle.assert_unmoved(&ctx);
+        // The first write ends the sharing; under Lazy that write is
+        // the flush that folds the pending update in.
+        insert_some(&mut sim, &mut rng);
+        if sim.pending_rank() == 0 {
+            assert!(!idle_shared(&sim), "{ctx}: write did not copy");
         }
+        sim.flush();
+        assert!(!idle_shared(&sim), "{ctx}: flush did not copy");
+        frozen.assert_unmoved(&ctx);
+        idle.assert_unmoved(&ctx);
     }
 }
 
@@ -578,23 +602,19 @@ fn snapshots_share_the_engine_buffer_until_it_writes() {
 fn lazy_snapshots_share_one_buffer_across_unflushed_updates() {
     let (g, s0) = conformance_graph();
     let mut rng = StdRng::seed_from_u64(13);
-    // Only these two defer ΔS; the others replace their whole matrix on
-    // every update.
-    for kind in [EngineKind::IncSr, EngineKind::IncUSr] {
-        let ctx = format!("{kind:?}/Lazy");
-        let mut sim = build(kind, ApplyPolicy::Lazy, &g, &s0);
-        let first = Frozen::take(sim.snapshot_view().expect("dense engine"));
-        insert_some(&mut sim, &mut rng);
-        insert_some(&mut sim, &mut rng);
-        assert!(sim.pending_rank() > 0, "{ctx}: updates were not deferred");
-        let second = Frozen::take(sim.snapshot_view().expect("dense engine"));
-        assert_eq!(snap_ptr(&first.snap), snap_ptr(&second.snap), "{ctx}");
-        assert_eq!(base_ptr(&sim), snap_ptr(&second.snap), "{ctx}");
-        // One buffer, two moments: each answers for its own.
-        assert!(first.effective != second.effective, "{ctx}: no change seen");
-        sim.flush();
-        assert_ne!(base_ptr(&sim), snap_ptr(&second.snap), "{ctx}");
-        first.assert_unmoved(&ctx);
-        second.assert_unmoved(&ctx);
-    }
+    let ctx = "IncSr/Lazy";
+    let mut sim = build(ApplyPolicy::Lazy, &g, &s0);
+    let first = Frozen::take(sim.snapshot_view().expect("dense engine"));
+    insert_some(&mut sim, &mut rng);
+    insert_some(&mut sim, &mut rng);
+    assert!(sim.pending_rank() > 0, "{ctx}: updates were not deferred");
+    let second = Frozen::take(sim.snapshot_view().expect("dense engine"));
+    assert_eq!(snap_ptr(&first.snap), snap_ptr(&second.snap), "{ctx}");
+    assert_eq!(base_ptr(&sim), snap_ptr(&second.snap), "{ctx}");
+    // One buffer, two moments: each answers for its own.
+    assert!(first.effective != second.effective, "{ctx}: no change seen");
+    sim.flush();
+    assert_ne!(base_ptr(&sim), snap_ptr(&second.snap), "{ctx}");
+    first.assert_unmoved(ctx);
+    second.assert_unmoved(ctx);
 }

@@ -209,13 +209,13 @@ fn crash_points_recover_incsr_lazy() {
 }
 
 #[test]
-fn crash_points_recover_incusr_fused() {
-    crash_sweep(EngineKind::IncUSr, ApplyPolicy::Fused, "incusr_fused");
+fn crash_points_recover_incsr_fused() {
+    crash_sweep(EngineKind::IncSr, ApplyPolicy::Fused, "incsr_fused");
 }
 
 #[test]
-fn crash_points_recover_naive_auto() {
-    crash_sweep(EngineKind::Naive, ApplyPolicy::Auto, "naive_auto");
+fn crash_points_recover_incsr_auto() {
+    crash_sweep(EngineKind::IncSr, ApplyPolicy::Auto, "incsr_auto");
 }
 
 /// The same sweep on an R-MAT stream — skewed degrees, so checkpoints and
