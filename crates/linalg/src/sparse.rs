@@ -216,14 +216,15 @@ impl CsrMatrix {
     /// Dot product of row `i` with a dense vector: `[A]_{i,:}·x`.
     ///
     /// This is the `[Q]_{b,:}·[S]_{:,i}` memoisation of Algorithm 2, line 3.
+    /// The sum starts at `+0.0`, so an empty row gives `+0.0` (an `f64`
+    /// `.sum()` of nothing is `-0.0`).
     #[inline]
     pub fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
         let span = self.indptr[i]..self.indptr[i + 1];
         self.indices[span.clone()]
             .iter()
             .zip(&self.values[span])
-            .map(|(&j, &v)| v * x[j as usize])
-            .sum()
+            .fold(0.0, |acc, (&j, &v)| acc + v * x[j as usize])
     }
 
     /// Sparse–dense product `C = A·B` (`B`, `C` dense), row-parallel when
@@ -425,6 +426,8 @@ mod tests {
         assert_eq!(m.row_dot(0, &x), 1.0 * 2.0 + -2.0);
         assert_eq!(m.row_dot(1, &x), 0.0);
         assert_eq!(m.row_dot(2, &x), 3.0 * 2.0 + 4.0 * 1.0);
+        // An empty row sums to +0.0, not the -0.0 of an empty `.sum()`.
+        assert!(m.row_dot(1, &x).is_sign_positive());
     }
 
     #[test]

@@ -1319,14 +1319,16 @@ mod tests {
 
     #[test]
     fn compression_stays_exact_on_the_qr_route() {
-        // A graph big enough that 2·r stays under the support size, so
-        // the thin-QR route (not the direct s×s one) is what runs. The
-        // compressed trajectory is held against an uncompressed lazy run
-        // of the same stream at the recompression exactness bar.
+        // A graph big enough that 2·r stays under the support size at
+        // every recompression, so the thin-QR route (not the direct s×s
+        // one) is what runs each time. At n = 64 the second pass buffers
+        // 47 pairs on a 64-row support and goes direct. The compressed
+        // trajectory is held against an uncompressed lazy run of the
+        // same stream at the recompression exactness bar.
         use crate::datagen::er::erdos_renyi;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let n = 64usize;
+        let n = 128usize;
         let mut rng = StdRng::seed_from_u64(7);
         let g = erdos_renyi(n, 6 * n, &mut rng);
         let cfg = SimRankConfig::new(0.6, 12).unwrap();
@@ -1376,7 +1378,12 @@ mod tests {
             }
             plain.update(op).unwrap();
         }
-        assert!(qr_passes >= 1, "no recompression took the QR route");
+        let recompressions = compressed.counters().recompressions;
+        assert!(recompressions >= 2, "recompressions={recompressions}");
+        assert_eq!(
+            qr_passes, recompressions,
+            "a recompression took the direct route"
+        );
         assert!(compressed.pending_rank() > 0, "window still open");
         assert!(
             compressed.pending_rank() < plain.pending_rank(),

@@ -56,8 +56,9 @@ proptest! {
         prop_assert!(delta.max_abs_diff(&uv) < 1e-12);
     }
 
-    /// Batch SimRank invariants: symmetric, entries in [0, 1], diagonal at
-    /// least 1−C, and rows of in-degree-0 nodes equal (1−C)·e_v.
+    /// Batch SimRank invariants: symmetric, entries in [0, 1] with no
+    /// `-0.0`, diagonal at least 1−C, and rows of in-degree-0 nodes equal
+    /// (1−C)·e_v.
     #[test]
     fn batch_scores_invariants(g in arb_graph()) {
         let cfg = SimRankConfig::new(0.6, 20).unwrap();
@@ -68,6 +69,7 @@ proptest! {
             for b in 0..g.node_count() {
                 let v = s.get(a, b);
                 prop_assert!((-1e-12..=1.0 + 1e-9).contains(&v), "s({},{}) = {}", a, b, v);
+                prop_assert!(!v.is_sign_negative(), "s({},{}) = {:e}", a, b, v);
             }
         }
         for v in 0..g.node_count() as u32 {
