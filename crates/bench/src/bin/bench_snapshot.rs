@@ -30,7 +30,8 @@
 //! `checkpoint_growth`, `ring_rehydrate_secs`) must not regress beyond
 //! `--tolerance` percent (default 200, i.e. 3×) past their noise floors —
 //! see `incsim_bench::compare`. Exactness gates fail hard at any scale,
-//! as do the probe engine's sub-quadratic heap-growth gate and the epoch
+//! as do the probe engine's sub-quadratic heap-growth gate and its
+//! single-source ceiling (`PROBE_QUERY_CEILING_SECS`), and the epoch
 //! ring's trajectory + retained-heap gates (asserted inside the
 //! measurements).
 //!
@@ -235,17 +236,17 @@ fn run(args: &[String]) -> Result<(), String> {
     );
 
     // Matrix-free probe serving at sizes no dense engine could touch.
-    // The sub-quadratic heap gate is asserted inside the measurement.
+    // The sub-quadratic heap gate and the query ceiling are asserted
+    // inside the measurement.
     let probe_n = scaled_cap(base_probe_n).max(64);
     let probe = measure_probe_single_source(probe_n, k);
     println!(
-        "   probe       : single-source {} @ n={} vs {} @ n={} ({} walks); \
+        "   probe       : single-source {} @ n={} vs {} @ n={} (exact); \
          peak heap {} -> {} (x{:.1} for 4x nodes; dense matrix would need {})",
         per(probe.query_secs_small),
         probe.n_small,
         per(probe.query_secs_large),
         probe.n_large,
-        probe.walks,
         incsim_metrics::timing::fmt_bytes(probe.heap_peak_bytes_small),
         incsim_metrics::timing::fmt_bytes(probe.heap_peak_bytes_large),
         probe.heap_growth,

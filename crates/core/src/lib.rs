@@ -24,10 +24,11 @@
 //!   [`SimRankMaintainer::matrix`] → [`MatrixAccess`]. Matrix engines get
 //!   the query capabilities for free from blanket impls over their
 //!   [`MatrixAccess::view`]; matrix-free engines implement them directly.
-//! * [`ProbeSim`] — the first matrix-free engine: ProbeSim-style
-//!   Monte-Carlo sampling over the graph alone (`O(n + m)` state, zero
-//!   `n²` allocations), answering within a documented `(1 ± ε)` of the
-//!   K-truncated batch scores.
+//! * [`ProbeSim`] — the matrix-free engine: it keeps the graph alone
+//!   (`O(n + m)` state, zero `n²` allocations). Single-source, top-k and
+//!   threshold reads compute their column of the K-truncated series
+//!   exactly, in `O(K·(n + m))`; pair reads sample coupled reverse walks
+//!   within a documented `(1 ± ε)` of the batch scores.
 //! * [`ApplyMode`] — how the per-update `ξηᵀ + ηξᵀ` terms reach the score
 //!   matrix: `Eager` (the paper's K+1 sweeps), `Fused` (one buffered,
 //!   cache-blocked, parallel sweep per mutation call), or `Lazy` (no sweep
@@ -65,7 +66,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod batch;
-pub mod detorder;
 mod fxhash;
 pub mod grouped;
 pub mod incsr;

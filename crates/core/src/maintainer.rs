@@ -201,7 +201,7 @@ impl std::fmt::Display for CapabilityError {
 
 impl std::error::Error for CapabilityError {}
 
-/// Counters of a sampling (walk-based) engine — the probe engine's
+/// Counters of the matrix-free (graph-only) engine — the probe engine's
 /// analogue of the apply-pipeline diagnostics. Engines with an apply
 /// pipeline report `None` from
 /// [`SimRankMaintainer::walk_stats`]; the service layer surfaces these
@@ -211,9 +211,10 @@ pub struct WalkStats {
     /// Graph mutations absorbed without any score recomputation (the
     /// index-free engine's "update" is just the graph edit).
     pub walk_updates: u64,
-    /// Reverse √C-walks sampled across all queries so far.
+    /// Reverse walks sampled by pair queries so far (both sides of a
+    /// pair count; ranked reads are exact and sample none).
     pub walks_sampled: u64,
-    /// Probe-tree node expansions performed across all queries so far.
+    /// In-edges visited by the series passes of ranked reads so far.
     pub probe_expansions: u64,
 }
 
@@ -291,8 +292,8 @@ pub trait PairQuery {
 /// The single-source query capability: all similarities of one node.
 pub trait SingleSourceQuery {
     /// Similarities of node `a`, excluding itself. Matrix engines list
-    /// every other node (zeros included); sampling engines list only
-    /// nodes with a nonzero estimate — an absent node means score 0.
+    /// every other node (zeros included); the matrix-free engine lists
+    /// only nodes with a nonzero score — an absent node means score 0.
     fn single_source(&self, a: u32) -> Vec<RankedNode>;
 
     /// Nodes whose similarity to `a` is at least `threshold`, unordered.
@@ -498,7 +499,7 @@ pub trait SimRankMaintainer: GraphSink + PairQuery + SingleSourceQuery + TopKQue
     /// engines freeze `S_base + Δ` through
     /// [`MatrixAccess::snapshot_view`] (the default), sharing the base
     /// buffer until their next write; matrix-free engines must override
-    /// with their own walk-state snapshot.
+    /// with their own graph snapshot.
     fn snapshot_query(&self) -> Arc<dyn SnapshotQuery> {
         match self.matrix() {
             Some(m) => Arc::new(m.snapshot_view()),
@@ -511,7 +512,7 @@ pub trait SimRankMaintainer: GraphSink + PairQuery + SingleSourceQuery + TopKQue
         }
     }
 
-    /// Sampling-engine counters, for engines without an apply pipeline
+    /// Matrix-free engine counters, for engines without an apply pipeline
     /// (`None` for matrix engines — their diagnostics live in
     /// [`UpdateStats`] and the apply-mode counters).
     fn walk_stats(&self) -> Option<WalkStats> {

@@ -1,14 +1,12 @@
-//! **Probe**: a ProbeSim-style matrix-free Monte-Carlo engine.
+//! **Probe**: the matrix-free engine.
 //!
 //! Every other engine in this workspace maintains the dense `n × n`
 //! score matrix, which caps it at `n` in the thousands. This engine
 //! maintains **nothing but the graph**: queries are answered on demand
-//! by sampling reverse random walks and expanding reverse *probe trees*
-//! (ProbeSim, Liu et al.; see PAPERS.md), so its state is `O(n + m)`
-//! and a query's scratch is bounded by the reachable neighbourhood —
-//! zero `n²` allocations anywhere.
+//! from the graph alone, so its state is `O(n + m)` and no query
+//! allocates anything `n²`.
 //!
-//! ## The estimator
+//! ## The series
 //!
 //! The workspace's matrix form at truncation `K` is
 //! `S = (1−C)·Σ_{t=0}^{K} C^t·Q^t·(Qᵀ)^t`, i.e.
@@ -19,29 +17,26 @@
 //!
 //! where `(Q^t)[a,v]` is the probability that a *reverse* random walk
 //! from `a` (each step to a uniform in-neighbour; the walk dies at an
-//! in-degree-0 node) sits at `v` after `t` steps. Two unbiased samplers
-//! fall out directly:
+//! in-degree-0 node) sits at `v` after `t` steps.
 //!
-//! * **pair**: sample `R` independent walk *pairs* from `a` and `b` and
-//!   add `(1−C)·C^t` whenever they coincide at step `t` — the paper-era
-//!   "two-sided" estimate, `O(R·K)` time, `O(K)` space.
-//! * **single-source**: sample `R` walks from `a`, tally the positions
-//!   `(t, v)`, then *probe* each distinct position: expand `t` forward
-//!   levels along out-edges with weight `1/in_deg(child)` per hop,
-//!   which computes the exact column `(Q^t)[·, v]`. Only the walk side
-//!   is sampled, so the variance is that of the empirical position
-//!   distribution alone.
-//!
-//! With walk length capped at the configured `K`, both estimators are
-//! **unbiased for the K-truncated batch scores** — the same truncation
-//! every exact engine here uses — so agreement with
-//! [`crate::batch_simrank`] is pure sampling noise, shrinking as
-//! `1/√R`. The documented contract is `(1 ± ε)` with
-//! `ε ≈ O(1/√walks)`; [`ProbeOptions::prune`] trades a small additional
-//! one-sided bias (dropped probe mass below the threshold) for bounded
-//! probe-tree growth on large graphs.
+//! * **Ranked reads** (single-source, top-k, threshold) are exact. They
+//!   compute column `a` of `S`: `K` reverse sparse matvecs
+//!   `u_{t+1} = Qᵀ·u_t` from `u_0 = e_a`, then a Horner pass
+//!   `x ← u_t + C·Q·x` from `x = u_K` down to `u_0`, scaled by `1−C`.
+//!   That is the exact form of the walk distribution ProbeSim (Liu et
+//!   al.; see PAPERS.md) samples, and Maehara et al.'s linearization with
+//!   its diagonal `(1−C)·I` known. Cost: `O(K·(n + m))` time, no
+//!   randomness. Only every `⌈√(K+1)⌉`-th `u_t` is kept on the way out,
+//!   and the Horner pass recomputes each segment from its checkpoint, so
+//!   a read holds `O(√K·n)` floats instead of `O(K·n)` for at most `K`
+//!   extra matvecs. The column equals [`crate::batch_simrank`]'s up to
+//!   rounding.
+//! * **Pair reads** are sampled: `pair_walks` coupled reverse walks from
+//!   `a` and `b` add `(1−C)·C^t` whenever they coincide at step `t`.
+//!   That is `O(pair_walks·K)` time and `O(1)` space, unbiased for the
+//!   K-truncated scores, with noise shrinking as `1/√pair_walks`: the
+//!   documented contract is `(1 ± ε)`.
 
-use crate::fxhash::FxHashMap;
 use crate::maintainer::{
     validate_update, GraphSink, PairQuery, SimRankMaintainer, SingleSourceQuery, TopKQuery,
     UpdateError, UpdateStats, WalkStats,
@@ -50,26 +45,17 @@ use crate::query::{rank_and_truncate, RankedNode, SnapshotQuery};
 use crate::rankone::UpdateKind;
 use crate::SimRankConfig;
 use incsim_graph::DiGraph;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Sampling parameters of the probe engine.
+/// Pair-sampling parameters of the probe engine. Ranked reads are exact
+/// and take none.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeOptions {
-    /// Reverse walks sampled per single-source / top-k query. The probe
-    /// side is exact, so the error of a score scales like `O(1/√walks)`.
-    pub walks: usize,
-    /// Walk *pairs* sampled per pair query (two-sided estimate — both
-    /// sides are sampled, so pair queries want more samples than
-    /// single-source ones for the same ε).
+    /// Walk *pairs* sampled per pair query (two-sided estimate: both
+    /// sides are sampled, so the error scales like `O(1/√pair_walks)`).
     pub pair_walks: usize,
-    /// Probe-tree pruning threshold: frontier entries whose probability
-    /// mass falls below this are dropped during expansion. `0.0` keeps
-    /// the probe exact; a small positive value (the default) bounds the
-    /// tree on large graphs at the cost of a one-sided bias below the
-    /// threshold's magnitude.
-    pub prune: f64,
-    /// Base RNG seed. Queries draw per-call substreams from it, so a
+    /// Base RNG seed. Pair queries draw per-call substreams from it, so a
     /// fixed seed makes any fixed *sequence* of queries deterministic.
     pub seed: u64,
 }
@@ -77,9 +63,7 @@ pub struct ProbeOptions {
 impl Default for ProbeOptions {
     fn default() -> Self {
         ProbeOptions {
-            walks: 512,
             pair_walks: 4096,
-            prune: 1e-4,
             seed: 0x5EED_CAFE,
         }
     }
@@ -105,7 +89,7 @@ impl SplitMix64 {
     }
 }
 
-/// The shared walk-state: everything a query needs, behind `&self`.
+/// The shared query state: everything a query needs, behind `&self`.
 /// [`ProbeSim`] wraps one; [`SimRankMaintainer::snapshot_query`] freezes
 /// one into a [`ProbeSnapshot`]. Queries take `&self` (the serving
 /// layer's read path), so the per-query substream counter and the
@@ -115,17 +99,13 @@ struct ProbeCore {
     graph: DiGraph,
     cfg: SimRankConfig,
     opts: ProbeOptions,
-    /// Per-query substream counter: query `q` seeds its RNG from
+    /// Per-query substream counter: pair query `q` seeds its RNG from
     /// `(seed, q)`, so a fixed call sequence is reproducible.
     stream: AtomicU64,
     walks_sampled: AtomicU64,
+    /// In-edges visited by the series passes of ranked reads.
     probe_expansions: AtomicU64,
-    peak_scratch_bytes: AtomicUsize,
 }
-
-/// Approximate heap bytes of one scratch `HashMap<(u16, u32), …>` /
-/// `HashMap<u32, f64>` entry (key + value + bucket overhead).
-const SCRATCH_ENTRY_BYTES: usize = 48;
 
 impl ProbeCore {
     fn new(graph: DiGraph, cfg: SimRankConfig, opts: ProbeOptions) -> Self {
@@ -136,12 +116,11 @@ impl ProbeCore {
             stream: AtomicU64::new(0),
             walks_sampled: AtomicU64::new(0),
             probe_expansions: AtomicU64::new(0),
-            peak_scratch_bytes: AtomicUsize::new(0),
         }
     }
 
     /// A frozen copy for epoch snapshots: same graph/parameters,
-    /// diagnostics starting fresh. Snapshot queries use
+    /// diagnostics starting fresh. Snapshot pair queries use
     /// [`Self::keyed_rng`] rather than the live substream counter, so
     /// the copy's counter starts at zero and stays unused.
     fn frozen(&self) -> ProbeCore {
@@ -154,18 +133,13 @@ impl ProbeCore {
         SplitMix64(self.opts.seed ^ sub.wrapping_mul(0xA076_1D64_78BD_642F))
     }
 
-    /// A substream keyed by the query itself instead of a call counter:
+    /// A substream keyed by the pair itself instead of a call counter:
     /// the frozen-epoch read path, where the same question must always
     /// return the same answer no matter how many times (or from how many
     /// threads) it is asked.
-    fn keyed_rng(&self, tag: u64, a: u32, b: u32) -> SplitMix64 {
-        let key = (tag << 48) ^ ((a as u64) << 24) ^ b as u64;
+    fn keyed_rng(&self, a: u32, b: u32) -> SplitMix64 {
+        let key = (1 << 48) ^ ((a as u64) << 24) ^ b as u64;
         SplitMix64(self.opts.seed ^ key.wrapping_mul(0xA076_1D64_78BD_642F))
-    }
-
-    fn note_scratch(&self, entries: usize) {
-        self.peak_scratch_bytes
-            .fetch_max(entries * SCRATCH_ENTRY_BYTES, Ordering::Relaxed);
     }
 
     fn assert_in_range(&self, node: u32) {
@@ -213,82 +187,86 @@ impl ProbeCore {
         (1.0 - c) * acc / r as f64
     }
 
-    /// Walk-and-probe single-source estimate: sample `walks` reverse
-    /// walks from `a`, then probe each distinct position `(t, v)` with
-    /// an exact `t`-level forward expansion. Returns only nodes with a
-    /// nonzero estimate, in ascending node-id order (absent ⇒ 0).
-    fn single_source(&self, a: u32) -> Vec<RankedNode> {
-        self.single_source_sampled(a, self.rng())
+    /// `Qᵀ·u`: every node `i` spreads `u[i]` evenly over its
+    /// in-neighbours. Adds the in-edges visited to `visits`.
+    fn reverse_step(&self, u: &[f64], visits: &mut u64) -> Vec<f64> {
+        let mut next = vec![0.0; u.len()];
+        for (i, &ui) in u.iter().enumerate() {
+            if ui != 0.0 {
+                let ins = self.graph.in_neighbors(i as u32);
+                let w = ui / ins.len() as f64;
+                for &v in ins {
+                    next[v as usize] += w;
+                }
+                *visits += ins.len() as u64;
+            }
+        }
+        next
     }
 
-    fn single_source_sampled(&self, a: u32, mut rng: SplitMix64) -> Vec<RankedNode> {
-        self.assert_in_range(a);
+    /// One Horner step in place, `u ← u + C·Q·x`. Adds the in-edges
+    /// visited to `visits`.
+    fn horner_step(&self, u: &mut [f64], x: &[f64], visits: &mut u64) {
         let c = self.cfg.c;
+        for (i, ui) in u.iter_mut().enumerate() {
+            let ins = self.graph.in_neighbors(i as u32);
+            if !ins.is_empty() {
+                let s: f64 = ins.iter().map(|&v| x[v as usize]).sum();
+                *ui += c * s / ins.len() as f64;
+                *visits += ins.len() as u64;
+            }
+        }
+    }
+
+    /// Column `a` of the K-truncated series, exactly: see the
+    /// [module docs](self). Entry `a` is the diagonal `S[a,a]`.
+    fn column(&self, a: u32) -> Vec<f64> {
+        self.assert_in_range(a);
         let k = self.cfg.iterations;
-        let r = self.opts.walks.max(1);
-
-        // Empirical position distribution of the walk side: how many of
-        // the R walks sit at v after t steps.
-        let mut tally: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-        for _ in 0..r {
-            let mut v = a;
-            for t in 1..=k as u32 {
-                let ins = self.graph.in_neighbors(v);
-                if ins.is_empty() {
-                    break;
+        let seg = ((k + 1) as f64).sqrt().ceil() as usize;
+        let mut visits = 0u64;
+        // Out: the checkpoints u_0, u_seg, u_2seg, … up to K.
+        let mut u0 = vec![0.0; self.graph.node_count()];
+        u0[a as usize] = 1.0;
+        let mut checkpoints = vec![u0];
+        while checkpoints.len() * seg <= k {
+            let mut u = self.reverse_step(&checkpoints[checkpoints.len() - 1], &mut visits);
+            for _ in 1..seg {
+                u = self.reverse_step(&u, &mut visits);
+            }
+            checkpoints.push(u);
+        }
+        // Back: the segments last to first, each recomputed from its
+        // checkpoint and folded into x from u_K down to u_0.
+        let mut x: Vec<f64> = Vec::new();
+        while let Some(first) = checkpoints.pop() {
+            let t0 = checkpoints.len() * seg;
+            let mut segment = vec![first];
+            while segment.len() < seg && t0 + segment.len() <= k {
+                let u = self.reverse_step(&segment[segment.len() - 1], &mut visits);
+                segment.push(u);
+            }
+            for mut u in segment.into_iter().rev() {
+                if !x.is_empty() {
+                    self.horner_step(&mut u, &x, &mut visits);
                 }
-                v = ins[rng.gen_index(ins.len())];
-                *tally.entry((t, v)).or_insert(0) += 1;
+                x = u;
             }
         }
-        self.walks_sampled.fetch_add(r as u64, Ordering::Relaxed);
+        self.probe_expansions.fetch_add(visits, Ordering::Relaxed);
+        let scale = 1.0 - self.cfg.c;
+        x.iter_mut().for_each(|v| *v *= scale);
+        x
+    }
 
-        // Probe side, exact: (Q^t)[·, v] by t forward levels from v,
-        // dividing by in_deg at every hop.
-        let mut scores: FxHashMap<u32, f64> = FxHashMap::default();
-        let mut frontier: FxHashMap<u32, f64> = FxHashMap::default();
-        let mut next: FxHashMap<u32, f64> = FxHashMap::default();
-        let mut expansions = 0u64;
-        let mut peak_entries = tally.len();
-        // All three drains below go through `detorder`: the probe sums
-        // floats per target node, and float addition does not commute in
-        // the last bits — hash order would make identically-seeded runs
-        // disagree bit-for-bit.
-        for ((t, v), cnt) in crate::detorder::sorted_kv(&tally) {
-            frontier.clear();
-            frontier.insert(v, 1.0);
-            for _level in 0..t {
-                next.clear();
-                for (x, wx) in crate::detorder::sorted_kv(&frontier) {
-                    for &y in self.graph.out_neighbors(x) {
-                        // in_deg(y) ≥ 1: the edge x→y exists.
-                        *next.entry(y).or_insert(0.0) += wx / self.graph.in_degree(y) as f64;
-                        expansions += 1;
-                    }
-                }
-                std::mem::swap(&mut frontier, &mut next);
-                if self.opts.prune > 0.0 {
-                    frontier.retain(|_, w| *w >= self.opts.prune);
-                }
-                peak_entries = peak_entries.max(frontier.len());
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-            let scale = (1.0 - c) * c.powi(t as i32) * cnt as f64 / r as f64;
-            for (b, w) in crate::detorder::sorted_kv(&frontier) {
-                *scores.entry(b).or_insert(0.0) += scale * w;
-            }
-            peak_entries = peak_entries.max(scores.len());
-        }
-        self.probe_expansions
-            .fetch_add(expansions, Ordering::Relaxed);
-        self.note_scratch(peak_entries);
-
-        crate::detorder::into_sorted_kv(scores)
+    /// The exact column as a list: only nodes other than `a` with a
+    /// nonzero score, in ascending node-id order (absent ⇒ 0).
+    fn single_source(&self, a: u32) -> Vec<RankedNode> {
+        self.column(a)
             .into_iter()
-            .filter(|&(b, _)| b != a)
-            .map(|(node, score)| RankedNode { node, score })
+            .zip(0u32..)
+            .filter(|&(score, node)| node != a && score != 0.0)
+            .map(|(score, node)| RankedNode { node, score })
             .collect()
     }
 
@@ -310,10 +288,6 @@ impl ProbeCore {
             probe_expansions: self.probe_expansions.load(Ordering::Relaxed),
         }
     }
-
-    fn heap_bytes(&self) -> usize {
-        self.graph.heap_bytes() + self.peak_scratch_bytes.load(Ordering::Relaxed)
-    }
 }
 
 /// The matrix-free probe engine. See the [module docs](self).
@@ -324,13 +298,14 @@ impl ProbeCore {
 /// [`crate::CapabilityError`] from the service layer instead of a panic.
 ///
 /// ```
-/// use incsim_core::{GraphSink, PairQuery, ProbeSim, SimRankConfig};
+/// use incsim_core::{GraphSink, PairQuery, ProbeSim, SimRankConfig, SingleSourceQuery};
 /// use incsim_graph::DiGraph;
 ///
 /// let g = DiGraph::from_edges(4, &[(2, 0), (2, 1), (0, 3)]);
 /// let mut engine = ProbeSim::new(g, SimRankConfig::paper_default());
 /// engine.insert_edge(1, 3).unwrap(); // just a graph edit — no n² work
 /// assert!(engine.pair_score(0, 1) > 0.0); // sampled on demand
+/// assert_eq!(engine.single_source(0)[0].node, 1); // the exact column
 /// ```
 #[derive(Debug)]
 pub struct ProbeSim {
@@ -346,7 +321,7 @@ impl ProbeSim {
         ProbeSim::with_options(graph, cfg, ProbeOptions::default())
     }
 
-    /// Creates the engine with explicit sampling parameters.
+    /// Creates the engine with explicit pair-sampling parameters.
     pub fn with_options(graph: DiGraph, cfg: SimRankConfig, opts: ProbeOptions) -> Self {
         ProbeSim {
             core: ProbeCore::new(graph, cfg, opts),
@@ -354,21 +329,16 @@ impl ProbeSim {
         }
     }
 
-    /// The sampling parameters in effect.
+    /// The pair-sampling parameters in effect.
     pub fn options(&self) -> &ProbeOptions {
         &self.core.opts
     }
 
-    /// Heap bytes held by the engine: the graph plus the peak query
-    /// scratch observed so far — `O(n + m)`, never `n²`. This is the
-    /// number the bench's sub-quadratic growth gate reads.
+    /// Heap bytes held by the engine between queries: the graph alone,
+    /// `O(n + m)`, never `n²`. A ranked read holds `O(√K·n)` more for
+    /// its duration.
     pub fn heap_bytes(&self) -> usize {
-        self.core.heap_bytes()
-    }
-
-    /// Peak scratch bytes any single query has used so far.
-    pub fn peak_scratch_bytes(&self) -> usize {
-        self.core.peak_scratch_bytes.load(Ordering::Relaxed)
+        self.core.graph.heap_bytes()
     }
 
     fn update_stats(&self, kind: UpdateKind, edge: (u32, u32)) -> UpdateStats {
@@ -401,8 +371,8 @@ impl GraphSink for ProbeSim {
         &self.core.cfg
     }
 
-    /// An update is *only* a graph edit: the next query samples against
-    /// the new topology. `O(deg)` per op, nothing recomputed.
+    /// An update is *only* a graph edit: the next query reads the new
+    /// topology. `O(deg)` per op, nothing recomputed.
     fn insert_edge(&mut self, i: u32, j: u32) -> Result<UpdateStats, UpdateError> {
         validate_update(&self.core.graph, i, j, UpdateKind::Insert)?;
         self.core.graph.insert_edge(i, j)?;
@@ -433,10 +403,6 @@ impl SingleSourceQuery for ProbeSim {
     fn single_source(&self, a: u32) -> Vec<RankedNode> {
         self.core.single_source(a)
     }
-
-    fn similar_above(&self, a: u32, threshold: f64) -> Vec<RankedNode> {
-        self.core.similar_above(a, threshold)
-    }
 }
 
 impl TopKQuery for ProbeSim {
@@ -463,26 +429,20 @@ impl SimRankMaintainer for ProbeSim {
 }
 
 /// A frozen probe-engine epoch: its own copy of the graph plus the
-/// sampling parameters — `O(n + m)` epoch material where a matrix
+/// pair-sampling parameters — `O(n + m)` epoch material where a matrix
 /// engine's [`crate::ScoreSnapshot`] keeps an `n²` matrix alive. Queries
 /// answer against the frozen topology forever, no matter how the live
 /// engine evolves.
 ///
-/// Reads are **idempotent**: the sampling substream is keyed by the
-/// query arguments (not a call counter), so the same question on the
-/// same epoch always returns the same answer — from any thread, in any
-/// order — and `pair(a, b) == pair(b, a)` holds exactly. That mirrors
-/// the read-consistency a dense [`crate::ScoreSnapshot`] gives for free.
+/// Reads are **idempotent**: ranked reads are exact, and the pair
+/// sampling substream is keyed by the query arguments (not a call
+/// counter), so the same question on the same epoch always returns the
+/// same answer — from any thread, in any order — and
+/// `pair(a, b) == pair(b, a)` holds exactly. That mirrors the
+/// read-consistency a dense [`crate::ScoreSnapshot`] gives for free.
 #[derive(Debug)]
 pub struct ProbeSnapshot {
     core: ProbeCore,
-}
-
-impl ProbeSnapshot {
-    fn row(&self, a: u32) -> Vec<RankedNode> {
-        self.core
-            .single_source_sampled(a, self.core.keyed_rng(2, a, 0))
-    }
 }
 
 impl SnapshotQuery for ProbeSnapshot {
@@ -492,27 +452,23 @@ impl SnapshotQuery for ProbeSnapshot {
 
     fn pair(&self, a: u32, b: u32) -> f64 {
         let (lo, hi) = (a.min(b), a.max(b));
-        self.core
-            .pair_sampled(lo, hi, self.core.keyed_rng(1, lo, hi))
+        self.core.pair_sampled(lo, hi, self.core.keyed_rng(lo, hi))
     }
 
     fn single_source(&self, a: u32) -> Vec<RankedNode> {
-        self.row(a)
+        self.core.single_source(a)
     }
 
     fn top_k(&self, a: u32, k: usize) -> Vec<RankedNode> {
-        rank_and_truncate(self.row(a), k)
+        self.core.top_k(a, k)
     }
 
     fn similar_above(&self, a: u32, threshold: f64) -> Vec<RankedNode> {
-        self.row(a)
-            .into_iter()
-            .filter(|rn| rn.score >= threshold)
-            .collect()
+        self.core.similar_above(a, threshold)
     }
 
     fn heap_bytes(&self) -> usize {
-        self.core.heap_bytes()
+        self.core.graph.heap_bytes()
     }
 }
 
@@ -520,7 +476,11 @@ impl SnapshotQuery for ProbeSnapshot {
 mod tests {
     use super::*;
     use crate::batch::batch_simrank;
+    use incsim_linalg::DenseMatrix;
     use std::collections::HashMap;
+
+    /// Ranked reads against batch: rounding only.
+    const EXACT: f64 = 1e-12;
 
     /// 0 ← {2,3} and 1 ← {2,4} share referrer 2, feeding 5 ← {0,1};
     /// node 4 is a source (in-degree 0), so walks through it die.
@@ -541,19 +501,31 @@ mod tests {
         )
     }
 
-    /// Test parameters: exact probes (no pruning), enough samples that
-    /// the `1/√R` noise sits well inside the asserted tolerance.
+    /// Enough pair walks that the `1/√R` noise sits well inside the
+    /// asserted pair tolerance.
     fn test_opts() -> ProbeOptions {
         ProbeOptions {
-            walks: 3000,
             pair_walks: 20_000,
-            prune: 0.0,
             seed: 7,
         }
     }
 
     fn cfg() -> SimRankConfig {
         SimRankConfig::new(0.6, 8).expect("valid config")
+    }
+
+    /// Asserts that `got` lists row `a` of `truth` within [`EXACT`]:
+    /// every other node, absent meaning 0.
+    fn assert_row(got: &[RankedNode], truth: &DenseMatrix, a: u32) {
+        let by_node: HashMap<u32, f64> = got.iter().map(|r| (r.node, r.score)).collect();
+        for b in (0..truth.rows() as u32).filter(|&b| b != a) {
+            let est = by_node.get(&b).copied().unwrap_or(0.0);
+            let want = truth.get(a as usize, b as usize);
+            assert!(
+                (est - want).abs() < EXACT,
+                "source {a} target {b}: {est} vs {want}"
+            );
+        }
     }
 
     #[test]
@@ -575,23 +547,18 @@ mod tests {
         let engine = ProbeSim::with_options(g, cfg(), test_opts());
         for a in 0..7u32 {
             let got = engine.single_source(a);
-            // Absent nodes mean score 0; look every node up.
-            let by_node: HashMap<u32, f64> = got.iter().map(|r| (r.node, r.score)).collect();
-            for b in 0..7u32 {
-                if b == a {
-                    continue;
-                }
-                let est = by_node.get(&b).copied().unwrap_or(0.0);
-                let want = truth.get(a as usize, b as usize);
-                assert!(
-                    (est - want).abs() < 0.05,
-                    "source {a} target {b}: {est} vs {want}"
-                );
-            }
-            // Output is ascending by node id, self excluded.
+            assert_row(&got, &truth, a);
+            // Output is ascending by node id, self and zeros excluded.
             assert!(got.windows(2).all(|w| w[0].node < w[1].node));
-            assert!(got.iter().all(|r| r.node != a));
+            assert!(got.iter().all(|r| r.node != a && r.score > 0.0));
+            // A threshold read is the same column, cut at the threshold.
+            let above = engine.similar_above(a, 0.01);
+            assert_row(&above, &truth, a);
+            let want = crate::query::similar_above(&truth, a, 0.01);
+            assert_eq!(above.len(), want.len(), "source {a}");
         }
+        // Node 4 has no in-links: its column is e_4 alone.
+        assert!(engine.single_source(4).is_empty());
     }
 
     #[test]
@@ -599,13 +566,20 @@ mod tests {
         let g = fixture();
         let truth = batch_simrank(&g, &cfg());
         let engine = ProbeSim::with_options(g, cfg(), test_opts());
-        let top = engine.top_k(0, 3);
-        assert!(top.len() <= 3);
-        assert!(top.windows(2).all(|w| w[0].score >= w[1].score));
-        // The true argmax of row 0 must sit at the head (its margin in
-        // this fixture is far beyond the sampling tolerance).
-        let want = crate::query::top_k_for_node(&truth, 0, 1);
-        assert_eq!(top[0].node, want[0].node);
+        for a in 0..7u32 {
+            let top = engine.top_k(a, 3);
+            assert!(top.windows(2).all(|w| w[0].score >= w[1].score));
+            let want = crate::query::top_k_for_node(&truth, a, 3);
+            let want_nonzero = want.iter().filter(|r| r.score > 0.0).count();
+            assert_eq!(top.len(), want_nonzero, "source {a}");
+            for (got, want) in top.iter().zip(&want) {
+                assert!((got.score - want.score).abs() < EXACT, "source {a}");
+                let at = truth.get(a as usize, got.node as usize);
+                assert!((got.score - at).abs() < EXACT, "source {a}");
+            }
+        }
+        // The true argmax of row 0 heads the list.
+        assert_eq!(engine.top_k(0, 1)[0].node, 1);
     }
 
     #[test]
@@ -633,7 +607,12 @@ mod tests {
         let _ = engine.pair_score(0, 1);
         let ws = engine.walk_stats().expect("probe reports walk stats");
         assert_eq!(ws.walk_updates, 2);
-        assert!(ws.walks_sampled > 0);
+        assert_eq!(ws.walks_sampled, 2 * test_opts().pair_walks as u64);
+        assert_eq!(ws.probe_expansions, 0, "no ranked read yet");
+        let _ = engine.top_k(0, 3);
+        let ws = engine.walk_stats().expect("probe reports walk stats");
+        assert_eq!(ws.walks_sampled, 2 * test_opts().pair_walks as u64);
+        assert!(ws.probe_expansions > 0);
         // The capability probe reports no matrix.
         assert!(engine.matrix().is_none());
     }
@@ -650,10 +629,11 @@ mod tests {
         let truth_after = {
             let mut g2 = g;
             g2.remove_edge(2, 1).unwrap();
-            batch_simrank(&g2, &cfg()).get(0, 1)
+            batch_simrank(&g2, &cfg())
         };
-        assert!((after - truth_after).abs() < 0.05);
+        assert!((after - truth_after.get(0, 1)).abs() < 0.05);
         assert!(before > after + 0.02, "{before} vs {after}");
+        assert_row(&engine.single_source(0), &truth_after, 0);
     }
 
     #[test]
@@ -662,41 +642,21 @@ mod tests {
         let snap = engine.snapshot_query();
         assert_eq!(snap.n(), 7);
         let frozen = snap.pair(0, 1);
+        let frozen_row = snap.single_source(0);
+        assert_eq!(frozen_row, engine.single_source(0), "same exact column");
+        assert_eq!(snap.top_k(0, 3), engine.top_k(0, 3));
         engine.remove_edge(2, 0).unwrap();
         engine.remove_edge(2, 1).unwrap();
         let live = engine.pair_score(0, 1);
         assert!(frozen > 0.02, "fixture pair is similar");
         assert!(live < 1e-9, "no shared in-links remain");
-        // Frozen reads are idempotent and symmetric: the substream is
+        assert!(engine.single_source(0).iter().all(|r| r.node != 1));
+        // Frozen reads are idempotent and symmetric: the pair substream is
         // keyed by the query, so re-asking reproduces the answer exactly.
         assert_eq!(snap.pair(0, 1), frozen);
         assert_eq!(snap.pair(1, 0), frozen);
-        assert_eq!(snap.single_source(0), snap.single_source(0));
+        assert_eq!(snap.single_source(0), frozen_row);
         assert!(snap.heap_bytes() > 0);
         assert!(snap.score_snapshot().is_none(), "no matrix behind it");
-    }
-
-    #[test]
-    fn pruning_bounds_scratch_and_stays_close() {
-        let g = fixture();
-        let truth = batch_simrank(&g, &cfg());
-        let pruned = ProbeSim::with_options(
-            g,
-            cfg(),
-            ProbeOptions {
-                prune: 1e-3,
-                ..test_opts()
-            },
-        );
-        let got = pruned.single_source(0);
-        let by_node: HashMap<u32, f64> = got.iter().map(|r| (r.node, r.score)).collect();
-        for b in 1..7u32 {
-            let est = by_node.get(&b).copied().unwrap_or(0.0);
-            let want = truth.get(0, b as usize);
-            // One-sided bias: pruning can only lose mass.
-            assert!(est <= want + 0.05, "target {b}: {est} vs {want}");
-            assert!((est - want).abs() < 0.08, "target {b}: {est} vs {want}");
-        }
-        assert!(pruned.peak_scratch_bytes() > 0);
     }
 }

@@ -291,7 +291,7 @@ impl ScoreSnapshot {
 /// Matrix engines implement it via [`ScoreSnapshot`] (a frozen
 /// `S_base + Δ` sharing the engine's base buffer until the engine's next
 /// write); matrix-free engines (the probe engine) implement
-/// it over a frozen graph copy plus their sampling parameters. Either
+/// it over a frozen graph copy plus their pair-sampling parameters. Either
 /// way the object is `Send + Sync`, answers forever at the state
 /// observed when it was taken, and costs no `n²` memory unless the
 /// engine itself holds `n²` state.
@@ -306,8 +306,8 @@ pub trait SnapshotQuery: std::fmt::Debug + Send + Sync {
     fn pair(&self, a: u32, b: u32) -> f64;
 
     /// Similarities of node `a`, excluding itself. Matrix snapshots list
-    /// every other node; sampling snapshots list only nodes with a
-    /// nonzero estimate (absent ⇒ score 0).
+    /// every other node; matrix-free snapshots list only nodes with a
+    /// nonzero score, in ascending id order (absent ⇒ score 0).
     fn single_source(&self, a: u32) -> Vec<RankedNode>;
 
     /// The `k` most similar nodes to `a`, descending (ties by node id).

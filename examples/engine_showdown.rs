@@ -1,13 +1,14 @@
 //! Engine showdown: exactness and cost of every incremental SimRank engine
 //! on the same update stream — a miniature of the paper's whole evaluation.
 //!
-//! Runs Inc-SR (pruned, exact) and the matrix-free Probe sampler through
+//! Runs Inc-SR (pruned, exact) and the matrix-free Probe engine through
 //! the `SimRank` service handle, and the paper's comparison points —
 //! Inc-uSR (unpruned, exact), Inc-SVD (Li et al., approximate) and the
 //! Batch recompute comparator — as bare engines, all against
 //! from-scratch batch truth, printing per-engine error, NDCG₁₀, time, and
 //! intermediate memory. (Probe holds no score matrix, so its row reports
-//! sampled spot-check deviation instead of a full-matrix error.)
+//! the deviation of its exact single-source rows from batch at its own
+//! `K`, and of its sampled pairs, instead of a full-matrix error.)
 //!
 //! ```bash
 //! cargo run --release --example engine_showdown
@@ -131,7 +132,8 @@ fn main() {
     let elapsed = sw.elapsed();
     report("Batch", elapsed, &scores, &truth, n * n * 8);
 
-    // Probe, the matrix-free served engine: no matrix to diff, so
+    // Probe, the matrix-free served engine: no matrix to diff, so check
+    // exact single-source rows against batch at the same K, and
     // spot-check sampled pairs against truth.
     let mut probe = SimRankBuilder::new()
         .algorithm(EngineKind::Probe)
@@ -142,18 +144,31 @@ fn main() {
     probe.update_batch(&stream).expect("valid stream");
     let elapsed = sw.elapsed();
     let n = n as u32;
+    let truth_k = batch_simrank(&g_new, &cfg);
+    let mut row_dev = 0.0f64;
+    for a in (0..n).step_by(37) {
+        for r in probe.single_source(a) {
+            row_dev = row_dev.max((r.score - truth_k.get(a as usize, r.node as usize)).abs());
+        }
+    }
     let mut spot_dev = 0.0f64;
     for t in 0..8u32 {
         let (a, b) = ((t * 37) % n, (t * 59 + 11) % n);
         spot_dev = spot_dev.max((probe.pair(a, b) - truth.get(a as usize, b as usize)).abs());
     }
     println!(
-        "{:<12}  time {:>8}  spot-dev {:.2e} (8 sampled pairs)  walks {}  heap {:>8}",
+        "{:<12}  time {:>8}  single-source dev {:.2e} (exact, K = 15)  pair spot-dev {:.2e} \
+         (8 sampled)  walks {}  heap {:>8}",
         probe.engine_name(),
         fmt_duration(elapsed),
+        row_dev,
         spot_dev,
         probe.counters().walks_sampled,
         fmt_bytes(probe.graph().heap_bytes()),
+    );
+    assert!(
+        row_dev <= 1e-12,
+        "probe single-source drifted from batch by {row_dev:.2e}"
     );
 
     // Lossless pruning: the Inc-SR and Inc-uSR runs above agree to

@@ -16,8 +16,9 @@
 //!   [`ScoreView`] composing `S_base + pending ΔS`, so the answers are
 //!   identical under every [`ApplyPolicy`] — a deferred update can never
 //!   be observed as a stale score. The matrix-free
-//!   [`EngineKind::Probe`] engine samples its answers on demand within a
-//!   documented `(1 ± ε)`.
+//!   [`EngineKind::Probe`] engine computes single-source, top-k and
+//!   threshold answers exactly from the truncated series on demand, and
+//!   samples pair answers within a documented `(1 ± ε)`.
 //! * **Snapshots** ([`SimRank::snapshot`] / [`SimRankBuilder::from_snapshot`])
 //!   materialise pending ΔS and persist `(graph, scores, config)`.
 //!
@@ -150,20 +151,22 @@ pub enum EngineKind {
     /// pruning — the paper's headline engine and the default.
     #[default]
     IncSr,
-    /// The **Probe** engine: matrix-free ProbeSim-style Monte-Carlo
-    /// sampling (see [`incsim_core::probe`]). `O(n + m)` state, `O(deg)`
-    /// updates, answers within a documented `(1 ± ε)` of the K-truncated
-    /// batch scores — the only engine here that scales past dense-matrix
-    /// memory. No [`MatrixAccess`](incsim_core::MatrixAccess): the
-    /// dense-matrix extras return their documented absence values.
+    /// The **Probe** engine: matrix-free, on the graph alone (see
+    /// [`incsim_core::probe`]). `O(n + m)` state and `O(deg)` updates.
+    /// Single-source, top-k and threshold reads compute their column of
+    /// the K-truncated series exactly in `O(K·(n + m))`; pair reads are
+    /// sampled within a documented `(1 ± ε)` of the batch scores. The
+    /// only engine here that scales past dense-matrix memory. No
+    /// [`MatrixAccess`](incsim_core::MatrixAccess): the dense-matrix
+    /// extras return their documented absence values.
     Probe,
 }
 
 impl EngineKind {
     /// `true` for engines that keep no dense score matrix (no
     /// [`MatrixAccess`](incsim_core::MatrixAccess) capability): no batch
-    /// precomputation at build time, sampled `(1 ± ε)` answers, and the
-    /// dense-matrix extras on [`SimRank`] report absence.
+    /// precomputation at build time, sampled `(1 ± ε)` pair answers, and
+    /// the dense-matrix extras on [`SimRank`] report absence.
     pub fn is_matrix_free(self) -> bool {
         matches!(self, EngineKind::Probe)
     }
@@ -315,8 +318,9 @@ impl SimRankBuilder {
         self
     }
 
-    /// Sampling options for the [`EngineKind::Probe`] engine — walk
-    /// counts, probe pruning, RNG seed (ignored otherwise).
+    /// Pair-sampling options for the [`EngineKind::Probe`] engine — walk
+    /// pairs per pair read and the RNG seed (ignored otherwise). Its
+    /// ranked reads are exact and take no options.
     pub fn probe_options(mut self, opts: ProbeOptions) -> Self {
         self.probe_opts = opts;
         self
@@ -552,11 +556,11 @@ pub struct ModeCounters {
     /// walk engines): pure graph edits, **not** double-counted in the
     /// eager/fused/lazy buckets — those stay strictly "ΔS apply routes".
     pub walk_updates: u64,
-    /// Reverse walks sampled by matrix-free engines while answering
-    /// queries (both sides of a pair query count).
+    /// Reverse walks sampled by matrix-free engines while answering pair
+    /// queries (both sides of a pair count). Ranked reads sample nothing.
     pub walks_sampled: u64,
-    /// Probe-tree edge expansions performed by matrix-free engines while
-    /// answering single-source / top-k queries.
+    /// In-edges visited by the exact series passes of matrix-free engines
+    /// while answering single-source / top-k / threshold queries.
     pub probe_expansions: u64,
     /// Ops appended to the write-ahead log (durable serving only).
     pub wal_appends: u64,
@@ -881,8 +885,8 @@ impl SimRank {
         self.engine.pair_score(a, b)
     }
 
-    /// All similarities of one node, excluding itself. Sampling engines
-    /// list only nodes with a nonzero estimate (absent ⇒ 0).
+    /// All similarities of one node, excluding itself. The matrix-free
+    /// engine lists only nodes with a nonzero score (absent ⇒ 0).
     pub fn single_source(&self, a: u32) -> Vec<RankedNode> {
         self.count_query();
         self.engine.single_source(a)
@@ -928,9 +932,8 @@ impl SimRank {
     /// matrix plus a copy of the pending factors. No `n²` bytes are
     /// copied when it is taken; the engine's next write copies the matrix
     /// first, and from then on the snapshot alone keeps the old one alive.
-    /// The probe engine freezes its graph (`O(n + m)` bytes) and keeps
-    /// sampling against it. Works on every engine; not counted as a
-    /// query.
+    /// The probe engine freezes its graph (`O(n + m)` bytes) and answers
+    /// from it. Works on every engine; not counted as a query.
     pub fn snapshot_query(&self) -> std::sync::Arc<dyn SnapshotQuery> {
         self.engine.snapshot_query()
     }
@@ -1528,10 +1531,26 @@ mod tests {
         sim.remove(0, 6).unwrap();
         let truth = batch_simrank(sim.graph(), sim.config());
         assert!((sim.pair(0, 1) - truth.get(0, 1)).abs() < 0.05);
-        assert!(!sim.top_k(0, 3).is_empty());
         let snap = sim.snapshot_query();
         assert_eq!(snap.n(), 7);
         assert!((snap.pair(0, 1) - truth.get(0, 1)).abs() < 0.05);
+        // Ranked reads, live and frozen, are row 0 of the batch truth.
+        let nonzero = (1..7).filter(|&b| truth.get(0, b) > 0.0).count();
+        assert_eq!(sim.single_source(0).len(), nonzero);
+        assert_eq!(snap.single_source(0).len(), nonzero);
+        for ranked in [
+            sim.single_source(0),
+            sim.top_k(0, 3),
+            sim.similar_above(0, 0.01),
+            snap.single_source(0),
+            snap.top_k(0, 3),
+            snap.similar_above(0, 0.01),
+        ] {
+            assert!(!ranked.is_empty());
+            for r in ranked {
+                assert!((r.score - truth.get(0, r.node as usize)).abs() < 1e-12);
+            }
+        }
     }
 
     #[test]

@@ -1097,7 +1097,7 @@ mod tests {
         ]))
         .unwrap();
         // The matrix-free probe engine serves from the same checkpoint (the
-        // stored scores are ignored; the engine samples from the graph).
+        // stored scores are ignored; the engine answers from the graph).
         run(&to_args(&[
             "serve",
             "--state",

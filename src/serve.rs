@@ -941,7 +941,7 @@ impl ShardedSimRank {
     /// A matrix engine freezes `S_base + Δ` by sharing its base matrix
     /// (a pointer clone; the engine copies it on its next write) plus a
     /// copy of the pending factors; a matrix-free engine freezes its
-    /// graph (`O(n + m)`) and keeps sampling — every engine publishes
+    /// graph (`O(n + m)`) and answers from it — every engine publishes
     /// through the same engine-agnostic [`SnapshotQuery`] handle.
     ///
     /// A **quarantined** engine is never snapshotted: the view is carried
@@ -1366,9 +1366,11 @@ impl EpochSlot {
 /// heap per retained epoch — see [`Self::retained_heap_bytes`]) and
 /// reconstructed on demand. A matrix-free engine is retained by **graph
 /// replay** instead: the ring records the committed op slice between
-/// epochs and rebuilds the (deterministic) engine at the requested epoch,
-/// so a reconstructed probe answer is seed-identical to the answer the
-/// epoch gave live.
+/// epochs and rebuilds the (deterministic) engine at the requested epoch.
+/// A reconstructed probe answer is then the one the epoch gave live:
+/// ranked reads because they are exact functions of the graph, pair
+/// reads because their substream is keyed by the pair under the same
+/// seed.
 pub struct ConcurrentSimRank {
     inner: ShardedSimRank,
     slot: Arc<EpochSlot>,
@@ -2580,14 +2582,12 @@ mod tests {
                 (6, 3),
             ],
         );
-        // K = 8 keeps walks short; R below is large enough that the batch
-        // truth sits well inside the 0.05 tolerance declared by the engine
-        // docs for these sample counts.
+        // K = 8 keeps pair walks short; R below is large enough that the
+        // batch truth sits well inside the 0.05 pair tolerance declared by
+        // the engine docs for this sample count. Ranked reads are exact.
         let cfg = SimRankConfig::new(0.6, 8).unwrap();
         let opts = ProbeOptions {
-            walks: 3000,
             pair_walks: 20_000,
-            prune: 0.0,
             seed: 7,
         };
         let handle = SimRankBuilder::new()
@@ -2614,6 +2614,24 @@ mod tests {
         assert!(frozen.try_pair(99, 0).is_none());
         let ranked = frozen.top_k(0, 3);
         assert!(!ranked.is_empty() && ranked[0].node == 1);
+        // Ranked reads are row 0 of the batch truth, within rounding.
+        let assert_row0 = |rows: [Vec<RankedNode>; 3], truth: &DenseMatrix| {
+            for row in rows {
+                assert!(!row.is_empty());
+                for r in row {
+                    let want = truth.get(0, r.node as usize);
+                    assert!((r.score - want).abs() < 1e-12, "{r:?} vs {want}");
+                }
+            }
+        };
+        assert_row0(
+            [
+                frozen.single_source(0),
+                ranked,
+                frozen.similar_above(0, 0.01),
+            ],
+            &truth,
+        );
 
         // The engine applies each op as a plain graph edit.
         let stats = concurrent.insert(0, 6).unwrap();
@@ -2634,6 +2652,15 @@ mod tests {
             truth_after.get(0, 1)
         );
         assert!(before > after + 0.02);
+        let fresh = reader.epoch();
+        assert_row0(
+            [
+                fresh.single_source(0),
+                fresh.top_k(0, 3),
+                fresh.similar_above(0, 0.01),
+            ],
+            &truth_after,
+        );
 
         // Counters: walk buckets only, never zero-stuffed apply modes.
         // (Epoch queries sample against their own frozen cores; hit the

@@ -99,8 +99,8 @@
 //! pre-crash engine's materialised scores under the fixed apply policies
 //! (and within the recompression bar under `Auto`, whose per-op routing
 //! depends on query traffic that is not logged); for the probe engine the
-//! rebuilt state is seed-identical — the same builder seed replays to the
-//! same sampler.
+//! rebuilt graph is identical, so its exact ranked reads are bit-identical
+//! and, under the same builder seed, so are its sampled pair reads.
 //!
 //! A quarantined handle rebuilds the same way — see
 //! [`crate::serve::ShardedSimRank::rebuild`].

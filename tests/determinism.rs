@@ -41,7 +41,6 @@ fn probe_engine() -> ProbeSim {
         fixture_graph(),
         SimRankConfig::new(0.6, 8).unwrap(),
         ProbeOptions {
-            walks: 300,
             seed: 41,
             ..ProbeOptions::default()
         },
@@ -108,7 +107,7 @@ fn probe_answers_are_bit_identical_across_runs() {
 #[test]
 fn probe_snapshot_agrees_with_itself_under_concurrent_reads() {
     // The snapshot is Send + Sync; hammering it from several threads
-    // must not perturb the per-query substream selection.
+    // must not perturb its answers.
     let engine = probe_engine();
     let snap = engine.snapshot_query();
     let baseline = snap.single_source(5);

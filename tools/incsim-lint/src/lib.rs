@@ -15,7 +15,7 @@
 //! | rule | invariant it guards |
 //! |------|---------------------|
 //! | `panic-in-serving-path` | a panic in `src/serve.rs`, `src/wal.rs` (incl. `src/wal/`), or `src/api.rs` is a quarantine event, never an `unwrap()`/`expect()`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` |
-//! | `nondeterministic-iteration` | no direct iteration over `HashMap`/`HashSet` (incl. the in-tree `FxHashMap`) in the order-sensitive modules `probe.rs`, `batch.rs`, `grouped.rs`, `wal.rs` — drain through a sorting helper (`incsim_core::detorder`) instead |
+//! | `nondeterministic-iteration` | no direct iteration over `HashMap`/`HashSet` (incl. the in-tree `FxHashMap`) in the order-sensitive modules `probe.rs`, `batch.rs`, `grouped.rs`, `wal.rs` — collect and sort by key before folding |
 //! | `wallclock-in-kernel` | no `Instant::now`/`SystemTime::now` outside bench/metrics/CLI/example code — kernel results must be a function of (input, seed), never of the clock |
 //! | `lock-poison-discipline` | guard acquisition is `.lock()/.read()/.write()` + `unwrap_or_else(PoisonError::into_inner)`, never `.unwrap()`/`.expect()` — a poisoned lock must degrade, not cascade the panic |
 //! | `registry-dep` | every dependency in every workspace manifest is `path`- or `workspace`-resolved — the offline container cannot fetch crates.io, so a registry dep is a build outage |

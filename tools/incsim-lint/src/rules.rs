@@ -178,8 +178,8 @@ const ITER_METHODS: &[&str] = &[
 ///    on those identifiers.
 ///
 /// Point lookups (`get`/`entry`/`insert`/`contains_key`/`retain`) are
-/// order-insensitive and stay legal; drains must go through a sorting
-/// helper (`incsim_core::detorder`) hosted *outside* the scoped modules.
+/// order-insensitive and stay legal; to drain a map, collect and sort by
+/// key before folding.
 fn scan_hash_iteration(code: &[Tok], sink: &mut impl FnMut(Rule, usize)) {
     let mut hash_idents: Vec<String> = Vec::new();
 
